@@ -275,23 +275,26 @@ class ReactiveBranchController:
             Transition(self.branch, kind, exec_idx, instr))
 
     # -- columnar row hooks (repro.serve.colpath) -----------------------
-    #: The mutable fields a boundary-free run of executions can touch.
-    #: Everything else — FSM state, deployment, the pending queue, the
-    #: transition log — only changes when an FSM arc fires or a
-    #: re-optimization lands, which the columnar fast path routes to
-    #: :func:`repro.serve.fastpath.apply_chunk` instead.
+    #: The mutable fields a run of executions can touch without an FSM
+    #: arc or a re-optimization landing.  The columnar fast path mirrors
+    #: these per row and resolves arcs and landings itself, syncing the
+    #: remaining (cold) fields — FSM state, deployment, the pending
+    #: queue, the transition log — at each firing row.
     HOT_FIELDS = ("exec_count", "_monitor_taken", "_monitor_samples",
-                  "_counter", "correct", "incorrect")
+                  "_counter", "_window_pos", "_window_correct",
+                  "correct", "incorrect")
 
-    def export_hot(self) -> tuple[int, int, int, int, int, int]:
+    def export_hot(self) -> tuple[int, int, int, int, int, int, int, int]:
         """The :data:`HOT_FIELDS` values, for a columnar row mirror."""
         return (self.exec_count, self._monitor_taken,
                 self._monitor_samples, self._counter,
+                self._window_pos, self._window_correct,
                 self.correct, self.incorrect)
 
     def import_hot(self, exec_count: int, monitor_taken: int,
-                   monitor_samples: int, counter: int,
-                   correct: int, incorrect: int) -> None:
+                   monitor_samples: int, counter: int, window_pos: int,
+                   window_correct: int, correct: int,
+                   incorrect: int) -> None:
         """Write back a columnar row's hot fields (plain ``int``s, so a
         flushed controller exports/serializes exactly like one that was
         advanced scalar)."""
@@ -299,6 +302,8 @@ class ReactiveBranchController:
         self._monitor_taken = int(monitor_taken)
         self._monitor_samples = int(monitor_samples)
         self._counter = int(counter)
+        self._window_pos = int(window_pos)
+        self._window_correct = int(window_correct)
         self.correct = int(correct)
         self.incorrect = int(incorrect)
 

@@ -10,7 +10,8 @@ dwarfs the vector math.  This module removes the Python-per-branch cost
 
 :class:`ColumnarBank` maintains a PC→row interned index plus
 struct-of-arrays mirrors of the hot controller fields — FSM state code,
-execution count, monitor counters, the eviction counter, the deployed
+execution count, monitor counters, the eviction counter, the
+evict-by-sampling window position and tally, the deployed
 flag/direction, the next FSM boundary's execution index and the next
 pending re-optimization landing stamp.  For each PC-sorted micro-batch
 it runs a **split / advance / fire** loop, fully vectorized across
@@ -20,14 +21,18 @@ rows:
   array code: the classify/revisit fire from the ``next_fire`` column,
   the pending-landing offset by counting the window's instruction
   stamps below the ``land`` column (a segmented ``add.reduceat``), and
-  the eviction arc's exact first-threshold-crossing index from the
+  the eviction arc's exact first-threshold-crossing index — from the
   segmented floored-walk cumsum (a running minimum over per-segment
-  offsets) for every engaged episode at once;
+  offsets) under counter eviction, or from the correct count of every
+  sample completion in the window under eviction by sampling — for
+  every engaged episode at once;
 * **advance** — the pre-boundary prefix of every row moves with the
   columnar kernels: one batch-global prefix sum of outcomes yields any
   window's taken count in O(1), driving execution counts, monitor
-  tallies, outcome accounting against the deployed direction, and the
-  exact floored-at-zero eviction-walk endpoint;
+  tallies (a strided gather over the window when the monitor samples
+  every ``monitor_sample_stride``-th execution), outcome accounting
+  against the deployed direction, the exact floored-at-zero
+  eviction-walk endpoint and the sampling window's position/tally;
 * **fire** — rows that reached a boundary apply the transition as a
   batched array op per arc kind: the classify decision (bias test over
   ``mon_taken``/``mon_samples``, vectorized in
@@ -38,14 +43,11 @@ rows:
   the loop then iterates on each row's remaining suffix until every
   segment is consumed.
 
-Only two window shapes still take the per-branch scalar engine
-(:meth:`_fallback_segment`): strided monitor windows
-(``monitor_sample_stride > 1`` — sampling is offset-dependent) and
-engaged evict-by-sampling episodes (window bookkeeping is stateful
-mid-window, scalar in :mod:`repro.serve.fastpath` too).  Single-branch
-batches also bypass the cross-branch machinery by design (nothing to
-amortize); they are counted separately (``events_single``) so the
-fallback counters isolate true boundary/config fallbacks.
+Every controller configuration resolves in these rounds.  Only
+single-branch batches take the per-branch engine
+(:meth:`_fallback_segment`, i.e. :func:`~repro.serve.fastpath.apply_chunk`),
+by design: there is nothing to amortize.  They are counted separately
+(``events_single``).
 
 The contract stays **bit-exactness**: rows are mirrors, the scalar
 :class:`~repro.core.controller.ReactiveBranchController` objects remain
@@ -95,8 +97,8 @@ _CODE_DISABLE = ARC_CODE[TransitionKind.DISABLE.value]
 
 #: int64 columns, in (attribute, default) order.
 _I64_COLS = ("pc", "exec", "next_fire", "land", "counter",
-             "mon_taken", "mon_samples", "bias_entries",
-             "correct", "incorrect")
+             "mon_taken", "mon_samples", "win_pos", "win_correct",
+             "bias_entries", "correct", "incorrect")
 _BOOL_COLS = ("deployed", "dep_dir", "episode", "dirty", "dead")
 
 
@@ -115,8 +117,7 @@ class ColumnarBank:
 
     __slots__ = ("config", "_scalars", "_decisions", "n_rows", "n_dead",
                  "_cap", "_keys", "_key_rows", "_tenant_index",
-                 "rows_fast", "rows_fallback", "rows_single",
-                 "events_fast", "events_fallback", "events_single",
+                 "rows_fast", "rows_single", "events_fast", "events_single",
                  "arcs_fast", "lands_fast",
                  "state", *_I64_COLS, *_BOOL_COLS)
 
@@ -137,10 +138,8 @@ class ColumnarBank:
         self._key_rows = np.empty(0, dtype=np.int64)
         #: Fast-path engagement counters (see ``stats()``).
         self.rows_fast = 0
-        self.rows_fallback = 0
         self.rows_single = 0
         self.events_fast = 0
-        self.events_fallback = 0
         self.events_single = 0
         self.arcs_fast = 0
         self.lands_fast = 0
@@ -176,21 +175,22 @@ class ColumnarBank:
         """Engagement counters since construction.
 
         ``fast`` counts rows/events advanced in the columnar arrays
-        (including resolved boundary suffixes), ``fallback`` the true
-        scalar-engine fallbacks (strided monitors, engaged
-        evict-by-sampling episodes), and ``single`` the by-design
-        single-branch batches that bypass the cross-branch machinery.
-        ``arcs_fast``/``lands_fast`` count FSM arcs and deployment
-        landings resolved columnar.
+        (including resolved boundary suffixes) and ``single`` the
+        by-design single-branch batches that bypass the cross-branch
+        machinery.  ``fallback`` (multi-branch rows handed to the
+        scalar engine) is always 0 now that every configuration
+        resolves columnar; the keys stay so the routing split keeps
+        one schema.  ``arcs_fast``/``lands_fast`` count FSM arcs and
+        deployment landings resolved columnar.
         """
         return {
             "rows": self.n_rows,
             "rows_dead": self.n_dead,
             "rows_fast": self.rows_fast,
-            "rows_fallback": self.rows_fallback,
+            "rows_fallback": 0,
             "rows_single": self.rows_single,
             "events_fast": self.events_fast,
-            "events_fallback": self.events_fallback,
+            "events_fallback": 0,
             "events_single": self.events_single,
             "arcs_fast": self.arcs_fast,
             "lands_fast": self.lands_fast,
@@ -239,7 +239,8 @@ class ColumnarBank:
         self.next_fire[rows] = self.config.monitor_period
         self.land[rows] = _NEVER
         for name in ("exec", "counter", "mon_taken", "mon_samples",
-                     "bias_entries", "correct", "incorrect"):
+                     "win_pos", "win_correct", "bias_entries", "correct",
+                     "incorrect"):
             getattr(self, name)[rows] = 0
         for name in _BOOL_COLS:
             getattr(self, name)[rows] = False
@@ -280,8 +281,8 @@ class ColumnarBank:
         state = ctrl.state
         self.state[row] = _STATE_CODE[state]
         (self.exec[row], self.mon_taken[row], self.mon_samples[row],
-         self.counter[row], self.correct[row],
-         self.incorrect[row]) = ctrl.export_hot()
+         self.counter[row], self.win_pos[row], self.win_correct[row],
+         self.correct[row], self.incorrect[row]) = ctrl.export_hot()
         self.bias_entries[row] = ctrl._bias_entries
         self.deployed[row] = ctrl._deployed
         self.dep_dir[row] = ctrl._deployed_direction
@@ -299,6 +300,7 @@ class ColumnarBank:
     def _flush_row(self, row: int, ctrl: ReactiveBranchController) -> None:
         ctrl.import_hot(self.exec[row], self.mon_taken[row],
                         self.mon_samples[row], self.counter[row],
+                        self.win_pos[row], self.win_correct[row],
                         self.correct[row], self.incorrect[row])
         self.dirty[row] = False
 
@@ -410,7 +412,6 @@ class ColumnarBank:
         advance).
         """
         cfg = self.config
-        select, reject, disable = np.empty(0), np.empty(0), np.empty(0)
         select, reject, disable, direction = classify_split(
             self.mon_taken[crows], self.mon_samples[crows],
             self.bias_entries[crows], cfg)
@@ -490,12 +491,16 @@ class ColumnarBank:
     def _fire_evict(self, erows: np.ndarray, fexec: np.ndarray,
                     finstr: np.ndarray, capture: bool,
                     fired: list[tuple[int, int, int, int]]) -> None:
-        """Eviction walk crossed its ceiling for ``erows``: evict."""
+        """Eviction walk crossed its ceiling (or a completed sample
+        fell below the bias threshold) for ``erows``: evict."""
         cfg = self.config
         self.state[erows] = _MONITOR
         self.mon_taken[erows] = 0
         self.mon_samples[erows] = 0
-        self.counter[erows] = cfg.evict_counter_max
+        if not cfg.evict_by_sampling:
+            # The walk saturates at the ceiling on the evicting miss;
+            # eviction by sampling never touches the counter.
+            self.counter[erows] = cfg.evict_counter_max
         self.episode[erows] = False
         self.next_fire[erows] = fexec + 1 + cfg.monitor_period
         controllers = self._scalars._controllers
@@ -568,48 +573,21 @@ class ColumnarBank:
         seg_last = instrs[ends - 1]
         changed = []
         fired = []
-        scratch: list[int] = []  # fallback flips; net re-derived below
         correct_delta = 0
         incorrect_delta = 0
-        stride1 = cfg.monitor_sample_stride == 1
+        stride = cfg.monitor_sample_stride
+        strided = stride > 1
         evict_counter = cfg.eviction_enabled and not cfg.evict_by_sampling
         evict_sampling = cfg.eviction_enabled and cfg.evict_by_sampling
         inc = cfg.misspec_increment
         dec = cfg.correct_decrement
         cmax = cfg.evict_counter_max
-        fell_back = 0
+        s_period = cfg.evict_sample_period
+        s_len = cfg.evict_sample_len
         act = np.arange(nseg, dtype=np.int64)
         while act.size:
             arows = rows[act]
             st = self.state[arows]
-            # Windows the columnar kernels cannot express take their
-            # whole remaining slice through the per-branch engine:
-            # strided monitor sampling is offset-dependent, and
-            # evict-by-sampling window bookkeeping is stateful
-            # mid-window (scalar in fastpath too).
-            bad = None
-            if not stride1:
-                bad = st == _MONITOR
-            if evict_sampling:
-                sampling = (st == _BIASED) & self.episode[arows]
-                bad = sampling if bad is None else bad | sampling
-            if bad is not None and bad.any():
-                for k in act[bad].tolist():
-                    s = int(cur[k])
-                    e = int(seg_end[k])
-                    self.rows_fallback += 1
-                    self.events_fallback += e - s
-                    c, x = self._fallback_segment(
-                        int(rows[k]), taken[s:e], instrs[s:e], capture,
-                        scratch, fired)
-                    correct_delta += c
-                    incorrect_delta += x
-                fell_back += int(bad.sum())
-                act = act[~bad]
-                if not act.size:
-                    break
-                arows = rows[act]
-                st = self.state[arows]
             acur = cur[act]
             rem = seg_end[act] - acur
             exec0 = self.exec[arows]
@@ -617,16 +595,18 @@ class ColumnarBank:
             dirs = self.dep_dir[arows]
             land = self.land[arows]
             counter0 = self.counter[arows]
+            mon = st == _MONITOR
             # -- split: each row's next boundary offset ----------------
             # Classify/revisit fire: consumes next_fire - exec events,
             # firing during the last of them.
-            m_fire = self.next_fire[arows] - exec0
+            next_fire = self.next_fire[arows]
+            m_fire = next_fire - exec0
             # Pending landing: fires *before* the first event whose
             # stamp reaches the land column (consumes no event).
             due = land <= seg_last[act]
             m_land = rem.copy()
             # Eviction-walk threshold crossing for engaged episodes.
-            if evict_counter:
+            if cfg.eviction_enabled:
                 engaged = (st == _BIASED) & self.episode[arows]
             else:
                 engaged = np.zeros(act.size, dtype=bool)
@@ -634,14 +614,23 @@ class ColumnarBank:
             miss_win = np.where(dirs, rem - ct_win, ct_win)
             # All-correct windows only decay the counter — closed form,
             # no per-event scan needed.
-            need_walk = engaged & (miss_win > 0)
+            need_walk = (engaged & (miss_win > 0) if evict_counter
+                         else np.zeros(act.size, dtype=bool))
             cross = np.full(act.size, _NEVER, dtype=np.int64)
             walk_end = None
             scan = due | need_walk
+            if strided:
+                # A strided monitor samples the executions whose offset
+                # from state entry (next_fire - monitor_period) is a
+                # multiple of the stride: its taken tally is a strided
+                # gather over the window.
+                mon_off = exec0 - (next_fire - cfg.monitor_period)
+                scan = scan | mon
             if scan.any():
                 # Compact per-event view of just the windows that need
                 # an element-wise scan (landing searches, miss-bearing
-                # eviction walks); everything else stays O(1)/row.
+                # eviction walks, strided monitor gathers); everything
+                # else stays O(1)/row.
                 sidx = np.flatnonzero(scan)
                 lens = rem[sidx]
                 total = int(lens.sum())
@@ -649,6 +638,8 @@ class ColumnarBank:
                 seg_id = np.repeat(np.arange(sidx.size), lens)
                 gidx = (np.arange(total, dtype=np.int64) - base[seg_id]
                         + acur[sidx][seg_id])
+                if strided or need_walk.any():
+                    pos = np.arange(total, dtype=np.int64) - base[seg_id]
                 if due.any():
                     # Stamps are sorted within a window, so the landing
                     # offset is the count of stamps below the land mark.
@@ -670,7 +661,6 @@ class ColumnarBank:
                     run_min = (np.minimum.accumulate(walk_cum - shift)
                                + shift)
                     walk = walk_cum - np.minimum(run_min, 0)
-                    pos = np.arange(total, dtype=np.int64) - base[seg_id]
                     wlen = np.minimum(lens, m_land[sidx])
                     crossing = ((walk >= cmax) & (pos < wlen[seg_id])
                                 & need_walk[sidx][seg_id])
@@ -680,6 +670,53 @@ class ColumnarBank:
                     cross[sidx[found]] = first[found] + 1
                     walk_end = np.zeros(act.size, dtype=np.int64)
                     walk_end[sidx] = walk[base + np.maximum(wlen, 1) - 1]
+                if strided and mon.any():
+                    # Exclusive prefix sum of sampled taken outcomes
+                    # over the view: a window prefix's strided tally is
+                    # a difference of two entries once its length is
+                    # known.
+                    sampled = (pos + mon_off[sidx][seg_id]) % stride == 0
+                    s_tc = np.zeros(total + 1, dtype=np.int64)
+                    np.cumsum(taken[gidx] & sampled, out=s_tc[1:])
+                    s_base = np.zeros(act.size, dtype=np.int64)
+                    s_base[sidx] = base
+            if evict_sampling and engaged.any():
+                # Eviction by sampling: the window's position runs
+                # modulo the sample period and the sample completes at
+                # position s_len - 1, k0 events in.  A completion's
+                # correct count is the window's last s_len outcomes
+                # against the deployed direction, plus the tally
+                # carried in when the sample began before this window.
+                wp0 = self.win_pos[arows]
+                wc0 = self.win_correct[arows]
+                k0 = (s_len - 1 - wp0) % s_period
+                carried = np.where(wp0 < s_len, wp0 - wc0, 0)
+                wlen_s = np.minimum(rem, m_land)
+                # No miss in the window and none carried in: every
+                # completed sample is perfect, so none can evict.
+                cand = (engaged & (k0 < wlen_s)
+                        & ((miss_win > 0) | (carried > 0)))
+                if cand.any():
+                    ci = np.flatnonzero(cand)
+                    ncomp = (wlen_s[ci] - 1 - k0[ci]) // s_period + 1
+                    cbase = np.cumsum(ncomp) - ncomp
+                    cseg = np.repeat(np.arange(ci.size), ncomp)
+                    k = (k0[ci][cseg] + s_period
+                         * (np.arange(int(ncomp.sum()), dtype=np.int64)
+                            - cbase[cseg]))
+                    lo_rel = k + 1 - s_len
+                    hi = acur[ci][cseg] + k + 1
+                    lo = hi - s_len - np.minimum(lo_rel, 0)
+                    t = tc[hi] - tc[lo]
+                    count = (np.where(dirs[ci][cseg], t, hi - lo - t)
+                             + np.where(lo_rel < 0, wc0[ci][cseg], 0))
+                    # int64 / int is one float64 division, bit-equal to
+                    # the scalar's int / int.
+                    bad = count / s_len < cfg.evict_bias_threshold
+                    first = np.minimum.reduceat(
+                        np.where(bad, k, _NEVER), cbase)
+                    found = first != _NEVER
+                    cross[ci[found]] = first[found] + 1
             # First boundary wins; an arc consuming b events fires
             # during event b-1, a landing at offset m fires before
             # event m — so the arc goes first iff b <= m.
@@ -697,14 +734,24 @@ class ColumnarBank:
             self.incorrect[arows] += fx
             correct_delta += int(fc.sum())
             incorrect_delta += int(fx.sum())
-            mon = st == _MONITOR
             if mon.any():
-                # stride == 1 here (strided monitors fell back): every
-                # execution is a sample, including a classify event.
                 mrows = arows[mon]
-                self.mon_samples[mrows] += adv[mon]
-                self.mon_taken[mrows] += ct[mon]
-            if engaged.any():
+                if strided:
+                    # Sampled offsets in [o, o + adv): a difference of
+                    # ceilings; the taken tally from the strided view.
+                    o = mon_off[mon]
+                    a = adv[mon]
+                    self.mon_samples[mrows] += (
+                        (o + a + stride - 1) // stride
+                        - (o + stride - 1) // stride)
+                    b = s_base[mon]
+                    self.mon_taken[mrows] += s_tc[b + a] - s_tc[b]
+                else:
+                    # Every execution is a sample, including a classify
+                    # event.
+                    self.mon_samples[mrows] += adv[mon]
+                    self.mon_taken[mrows] += ct[mon]
+            if evict_counter and engaged.any():
                 live = engaged & (cross == _NEVER)
                 simple = live & ~need_walk
                 if simple.any():
@@ -713,6 +760,26 @@ class ColumnarBank:
                 walked = live & need_walk & (adv > 0)
                 if walked.any():
                     self.counter[arows[walked]] = walk_end[walked]
+            if evict_sampling and engaged.any():
+                # Window position after the prefix; the tally is the
+                # current sample's correct count when the next event is
+                # mid-sample (0 < q < s_len), else 0 — a completed
+                # sample resets it, and past s_len nothing is sampled.
+                # Its outcomes are the prefix's last min(q, adv), plus
+                # the carried tally when the sample began earlier.
+                # An evicting row ends on its completion (q = s_len).
+                er = arows[engaged]
+                e_adv = adv[engaged]
+                e_wp = wp0[engaged]
+                q = (e_wp + e_adv) % s_period
+                tail = np.minimum(q, e_adv)
+                e_end = acur[engaged] + e_adv
+                t = tc[e_end] - tc[e_end - tail]
+                tally = (np.where(dirs[engaged], t, tail - t)
+                         + np.where(e_adv < q, wc0[engaged], 0))
+                self.win_pos[er] = q
+                self.win_correct[er] = np.where((q > 0) & (q < s_len),
+                                                tally, 0)
             self.dirty[arows[adv > 0]] = True
             self.events_fast += int(adv.sum())
             # -- fire: batched boundary transitions --------------------
@@ -739,32 +806,34 @@ class ColumnarBank:
                 for j in range(lidx.size):
                     row = int(lrows[j])
                     ctrl = controllers[int(pc_col[row])]
+                    if evict_sampling:
+                        # A speculative landing resets the sampling
+                        # window; hand the controller the row's live
+                        # window so the copy-back below is exact either
+                        # way.
+                        ctrl._window_pos = int(self.win_pos[row])
+                        ctrl._window_correct = int(self.win_correct[row])
                     ctrl._land_due(int(instrs[int(ev[j])]))
                     self.deployed[row] = ctrl._deployed
                     self.dep_dir[row] = ctrl._deployed_direction
                     self.episode[row] = ctrl._episode_active
                     self.land[row] = (ctrl._pending[0][0]
                                       if ctrl._pending else _NEVER)
+                    if evict_sampling:
+                        self.win_pos[row] = ctrl._window_pos
+                        self.win_correct[row] = ctrl._window_correct
                 self.lands_fast += int(lidx.size)
             new_cur = acur + adv
             cur[act] = new_cur
             act = act[new_cur < seg_end[act]]
-        self.rows_fast += nseg - fell_back
-        # Net decision flips over the whole batch (landing and fallback
-        # rows alike; the columns are current for both).
+        self.rows_fast += nseg
+        # Net decision flips over the whole batch.
         fin = self.deployed[rows]
         flips = np.flatnonzero(fin != dep0)
-        decisions = self._decisions
         if flips.size:
+            decisions = self._decisions
             flip_pcs = self.pc[rows[flips]].tolist()
             for pc, v in zip(flip_pcs, fin[flips].tolist()):
                 decisions[pc] = v
             changed.extend(flip_pcs)
-        if scratch:
-            # A fallback window may have flipped and flipped back
-            # within the batch; pin its cache entry to the final view.
-            for pc in set(scratch):
-                row = self._row_of(pc)
-                if row is not None:
-                    decisions[pc] = bool(self.deployed[row])
         return correct_delta, incorrect_delta, changed, fired

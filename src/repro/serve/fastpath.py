@@ -27,11 +27,11 @@ is what makes service snapshots interchangeable with offline runs.
 
 Layering: this module is the *within-branch* engine.  The serving hot
 path stacks the cross-branch columnar engine
-(:mod:`repro.serve.colpath`) on top: segments that provably cross no
-FSM boundary advance in struct-of-arrays form without entering Python
-at all, and only boundary-crossing segments reach :func:`apply_chunk`
-— which therefore remains the single place FSM arcs, landings and
-evictions are resolved.
+(:mod:`repro.serve.colpath`) on top, which resolves FSM arcs, landings
+and evictions for many branches at once in array code and reuses
+:func:`classify_split` and :func:`deploy_delay` from here.  There
+:func:`apply_chunk` serves only single-branch batches; the per-PC loop
+engine (``columnar=False``) applies every batch through it.
 """
 
 from __future__ import annotations

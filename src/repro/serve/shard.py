@@ -100,9 +100,10 @@ class ShardApplyResult:
     t_recv: float = 0.0
     t_done: float = 0.0
     #: Columnar-engine routing of this batch's events: advanced in the
-    #: cross-branch arrays / true scalar fallbacks (strided monitors,
-    #: engaged evict-by-sampling episodes) / by-design single-branch
-    #: batches.  All zero with the columnar engine off.
+    #: cross-branch arrays / handed to the scalar engine from a
+    #: multi-branch batch (no configuration does so any more; the field
+    #: keeps the wire frame and telemetry schema) / by-design
+    #: single-branch batches.  All zero with the columnar engine off.
     col_fast: int = 0
     col_fallback: int = 0
     col_single: int = 0
@@ -176,20 +177,18 @@ class BankShard:
         bounds = np.flatnonzero(sorted_pcs[1:] != sorted_pcs[:-1]) + 1
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [n]))
-        col_fast = col_fallback = col_single = 0
+        col_fast = col_single = 0
         if self.columnar:
             col = self.col
             if col is None:
                 col = self.col = ColumnarBank(self.bank.config, self.bank,
                                               self.decisions,
                                               tenant_index=self.tenant_keys)
-            f0, b0, s0 = (col.events_fast, col.events_fallback,
-                          col.events_single)
+            f0, s0 = col.events_fast, col.events_single
             correct, incorrect, changed, fired = col.apply_sorted(
                 sorted_pcs, sorted_taken, sorted_instrs,
                 starts, ends, capture)
             col_fast = col.events_fast - f0
-            col_fallback = col.events_fallback - b0
             col_single = col.events_single - s0
         else:
             correct, incorrect, changed, fired = self._apply_loop(
@@ -205,8 +204,7 @@ class BankShard:
             changed_deployed=tuple(self.decisions[pc] for pc in changed),
             last_instr=self.last_instr, transitions=tuple(fired),
             apply_seconds=perf_counter() - t0 if capture else 0.0,
-            col_fast=col_fast, col_fallback=col_fallback,
-            col_single=col_single)
+            col_fast=col_fast, col_single=col_single)
 
     def _apply_loop(self, sorted_pcs: np.ndarray, sorted_taken: np.ndarray,
                     sorted_instrs: np.ndarray, starts: np.ndarray,

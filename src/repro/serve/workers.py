@@ -378,14 +378,31 @@ class WorkerPool:
     def _spawn_pipe(self, config_dict: dict) -> None:
         for handle in self.handles:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            handle.process = self._ctx.Process(
-                target=worker_main,
-                args=(handle.shard, config_dict, child_conn, "pipe",
-                      self.capture, self.columnar),
-                name=f"repro-serve-worker-{handle.shard}", daemon=True)
-            handle.process.start()
-            child_conn.close()
+            try:
+                handle.process = self._start_worker(
+                    handle.shard, config_dict, child_conn, "pipe")
+            except BaseException:
+                parent_conn.close()
+                raise
+            finally:
+                child_conn.close()
             handle.transport = wire.PipeTransport(parent_conn)
+
+    def _start_worker(self, shard: int, config_dict: dict, endpoint,
+                      transport: str):
+        """Start one worker process and return it.
+
+        The caller records the process only once ``start()`` returned,
+        so a failed start leaves nothing for :meth:`_join_all` to join
+        and :meth:`shutdown` surfaces no error of its own.
+        """
+        proc = self._ctx.Process(
+            target=worker_main,
+            args=(shard, config_dict, endpoint, transport,
+                  self.capture, self.columnar),
+            name=f"repro-serve-worker-{shard}", daemon=True)
+        proc.start()
+        return proc
 
     def _spawn_socket(self, config_dict: dict) -> None:
         self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-serve-")
@@ -396,12 +413,8 @@ class WorkerPool:
             listener.listen(self.n_workers)
             listener.settimeout(_HELLO_TIMEOUT)
             for handle in self.handles:
-                handle.process = self._ctx.Process(
-                    target=worker_main,
-                    args=(handle.shard, config_dict, path, "socket",
-                          self.capture, self.columnar),
-                    name=f"repro-serve-worker-{handle.shard}", daemon=True)
-                handle.process.start()
+                handle.process = self._start_worker(
+                    handle.shard, config_dict, path, "socket")
             accepted = []
             for _ in self.handles:
                 conn, _addr = listener.accept()

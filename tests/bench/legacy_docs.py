@@ -64,8 +64,17 @@ def obs_doc(baseline: float = 2_500_000.0, obs: float = 2_400_000.0,
 
 
 def colpath_doc(wide_speedup: float = 4.0, narrow_ratio: float = 1.0,
-                evict_speedup: float = 8.0, exact: bool = True) -> dict:
+                evict_speedup: float = 8.0, stride8_speedup: float = 10.0,
+                sampling_evict_speedup: float = 10.0,
+                exact: bool = True) -> dict:
     loop = 1_000_000.0
+
+    def adversarial(speedup: float) -> dict:
+        return {"distinct_pcs": 4096, "flip_every": 96,
+                "loop_eps": loop * 0.5,
+                "columnar_eps": loop * 0.5 * speedup,
+                "capture_exact": exact}
+
     return {
         "kind": "repro.colpath.bench",
         "schema": 2,
@@ -78,12 +87,9 @@ def colpath_doc(wide_speedup: float = 4.0, narrow_ratio: float = 1.0,
             {"distinct_pcs": 4096, "loop_eps": loop,
              "columnar_eps": loop * wide_speedup},
         ],
-        "adversarial": {
-            "distinct_pcs": 4096, "flip_every": 96,
-            "loop_eps": loop * 0.5,
-            "columnar_eps": loop * 0.5 * evict_speedup,
-            "capture_exact": exact,
-        },
+        "adversarial": adversarial(evict_speedup),
+        "adversarial_stride8": adversarial(stride8_speedup),
+        "adversarial_evict_sampling": adversarial(sampling_evict_speedup),
         "wide_speedup": wide_speedup,
         "narrow_ratio": narrow_ratio,
         "evict_speedup": evict_speedup,

@@ -169,6 +169,14 @@ def _doctored_colpath_evict():
     return doc
 
 
+def _doctored_colpath_stride8():
+    return colpath_doc(stride8_speedup=1.3)  # < 5.0x floor
+
+
+def _doctored_colpath_sampling_evict():
+    return colpath_doc(sampling_evict_speedup=1.4)  # < 5.0x floor
+
+
 def _doctored_repl():
     doc = repl_doc(baseline=2_500_000.0, repl=1_500_000.0)  # 40% > 15%
     doc["repl_overhead"] = 0.05
@@ -184,6 +192,10 @@ DOCTORED_CASES = [
      "narrow regression"),
     ("colpath", colpath_doc, _doctored_colpath_evict,
      "evict-heavy floor"),
+    ("colpath", colpath_doc, _doctored_colpath_stride8,
+     "stride-8 monitor floor"),
+    ("colpath", colpath_doc, _doctored_colpath_sampling_evict,
+     "evict-by-sampling floor"),
     ("repl", repl_doc, _doctored_repl, "replication overhead"),
 ]
 

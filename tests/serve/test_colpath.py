@@ -245,16 +245,18 @@ def test_stats_split_single_vs_fallback():
     assert stats["rows_fallback"] == 0
     assert stats["events_fallback"] == 0
     assert (res.col_fast, res.col_fallback, res.col_single) == (0, 0, 50)
-    # A strided-monitor config routes multi-branch batches through the
-    # true fallback instead.
+    # A strided-monitor config resolves multi-branch batches in the
+    # columnar rounds: no fallback, and none counted as single either.
     strided = BankShard(0, CONFIGS["tiny-stride"], columnar=True)
     pcs = np.tile(np.array([1, 2], dtype=np.int32), 25)
     res = strided.apply(pcs, taken, instrs)
     stats = strided.col.stats()
-    assert stats["rows_fallback"] == 2
-    assert stats["events_fallback"] == 50
+    assert stats["rows_fast"] == 2
+    assert stats["events_fast"] == 50
+    assert stats["rows_fallback"] == 0
+    assert stats["events_fallback"] == 0
     assert stats["rows_single"] == 0
-    assert res.col_fallback == 50 and res.col_single == 0
+    assert (res.col_fast, res.col_fallback, res.col_single) == (50, 0, 0)
     # The loop engine reports no columnar routing at all.
     plain = BankShard(0, config, columnar=False)
     res = plain.apply(pcs, taken, instrs)

@@ -232,3 +232,36 @@ def test_service_config_validates_worker_mode():
         ServiceConfig(n_shards=2, workers=2, transport="carrier-pigeon")
     with pytest.raises(ValueError, match="non-negative"):
         ServiceConfig(workers=-1)
+
+
+@pytest.mark.parametrize("transport", ["pipe", "socket"])
+def test_failed_worker_start_surfaces_the_original_error(
+        bench_config, monkeypatch, transport):
+    """Regression: a worker whose ``start()`` raises must surface that
+    error from service start-up — not an ``AssertionError`` from joining
+    a never-started process during cleanup — and leave no child alive."""
+    import multiprocessing
+    from multiprocessing.process import BaseProcess
+
+    real_start = BaseProcess.start
+    started = []
+
+    def flaky_start(self):
+        if started:
+            raise OSError("cannot spawn worker")
+        real_start(self)
+        started.append(self)
+
+    monkeypatch.setattr(BaseProcess, "start", flaky_start)
+
+    async def run():
+        scfg = ServiceConfig(n_shards=2, workers=2, transport=transport)
+        async with SpeculationService(bench_config, scfg):
+            pass  # pragma: no cover - start-up must fail
+
+    with pytest.raises(OSError, match="cannot spawn worker"):
+        asyncio.run(run())
+    assert len(started) == 1
+    started[0].join(30)
+    assert not started[0].is_alive()
+    assert multiprocessing.active_children() == []
