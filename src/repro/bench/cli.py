@@ -85,8 +85,9 @@ def _add_gate_flags(parser: argparse.ArgumentParser) -> None:
                              "throughput loss (default: 0.15)")
     parser.add_argument("--min-tenant-scaling", type=float, default=None,
                         help="tenant gate: required max-tenants/"
-                             "single-tenant throughput ratio "
-                             "(default: 0.0001)")
+                             "single-tenant throughput ratio; a "
+                             "quadratic victim pick or per-victim "
+                             "spill jobs fall below it (default: 0.002)")
 
 
 def _overrides_from(args) -> dict[str, float]:

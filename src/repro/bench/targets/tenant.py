@@ -133,7 +133,10 @@ def extract(doc: dict) -> dict[str, Metric]:
         floor("spills_observed", 1.0, label="spill pressure exercised"),
         floor("budget_honored", 1.0, label="resident budget honored"),
         floor("rss_bounded", 1.0, label="RSS bounded by working set"),
-        floor("tenant_scaling", 0.0001,
+        # The 1M-tenant spray measures ~0.0066 of one tenant; a victim
+        # pick that rescans the LRU per victim measures 0.0002 and
+        # fails this floor.
+        floor("tenant_scaling", 0.002,
               label="max-tenant throughput floor",
               param="min_tenant_scaling"),
     ),

@@ -10,7 +10,10 @@ aggregate — while keeping the family total exact.
 Heavy hitters are tracked with a space-saving sketch of bounded
 capacity (a few multiples of K): an unseen id entering a full sketch
 evicts the minimum-count entry and inherits its count, the classic
-overestimate that guarantees no true heavy hitter is missed.  An id is
+overestimate that guarantees no true heavy hitter is missed.  The
+minimum is found through a lazily-pruned heap of ``(count, birth,
+id)`` entries rather than a scan of the sketch — ties go, as with a
+scan in insertion order, to the earliest-inserted id.  An id is
 promoted to its own label child only when its sketched count passes
 the smallest promoted count; the loser is demoted — its child's total
 is folded into ``__overflow__`` (keeping the family sum exact and
@@ -24,6 +27,8 @@ always.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from repro.obs.metrics import MetricFamily
 
 __all__ = ["OVERFLOW_LABEL", "LabelCardinalityGuard"]
@@ -34,8 +39,8 @@ OVERFLOW_LABEL = "__overflow__"
 class LabelCardinalityGuard:
     """Top-K + overflow routing for one labelled counter family."""
 
-    __slots__ = ("family", "top_k", "capacity", "_counts", "_promoted",
-                 "_floor", "_overflow")
+    __slots__ = ("family", "top_k", "capacity", "_counts", "_born",
+                 "_heap", "_births", "_promoted", "_floor", "_overflow")
 
     def __init__(self, family: MetricFamily, top_k: int = 16,
                  capacity: int | None = None) -> None:
@@ -52,6 +57,13 @@ class LabelCardinalityGuard:
             raise ValueError("capacity must be at least top_k")
         #: Space-saving sketch: id -> (over)estimated traffic count.
         self._counts: dict[int, int] = {}
+        #: id -> its insertion stamp in the sketch (the tie-break).
+        self._born: dict[int, int] = {}
+        self._births = 0
+        #: ``(count, born, id)`` min-heap over the sketch.  Every count
+        #: change pushes a fresh entry; entries no longer matching the
+        #: sketch are stale and dropped when they surface.
+        self._heap: list[tuple[int, int, int]] = []
         self._promoted: set[int] = set()
         #: Cached minimum promoted count; promotion is only *attempted*
         #: when a sketch count passes this, so the O(K) min scan runs
@@ -63,18 +75,23 @@ class LabelCardinalityGuard:
         """Count ``amount`` traffic for ``ident``, routed to its own
         label child (top-K) or the overflow aggregate."""
         counts = self._counts
+        born = self._born
         have = counts.get(ident)
         if have is None:
             if len(counts) >= self.capacity:
-                evicted = min(counts, key=counts.get)
-                have = counts.pop(evicted)
+                evicted, have = self._pop_min()
                 if evicted in self._promoted:
                     self._demote(evicted)
             else:
                 have = 0
-            counts[ident] = have + amount
-        else:
-            counts[ident] = have + amount
+            self._births += 1
+            born[ident] = self._births
+        count = counts[ident] = have + amount
+        heappush(self._heap, (count, born[ident], ident))
+        if len(self._heap) > 4 * self.capacity:
+            # Mostly stale entries: rebuild from the live sketch.
+            self._heap = [(c, born[i], i) for i, c in counts.items()]
+            heapify(self._heap)
 
         if ident in self._promoted:
             self.family.labels(str(ident)).inc(amount)
@@ -95,6 +112,18 @@ class LabelCardinalityGuard:
                 return
             self._refloor()
         self._overflow.inc(amount)
+
+    def _pop_min(self) -> tuple[int, int]:
+        """Remove and return the sketch's minimum ``(id, count)``."""
+        counts = self._counts
+        born = self._born
+        heap = self._heap
+        while True:
+            count, stamp, ident = heappop(heap)
+            if born.get(ident) == stamp and counts[ident] == count:
+                del counts[ident]
+                del born[ident]
+                return ident, count
 
     def _demote(self, ident: int) -> None:
         """Fold a demoted id's child into overflow and drop the child,

@@ -328,14 +328,17 @@ class ColumnarBank:
 
     # -- eviction -------------------------------------------------------
     def evict_keys(self, keys: np.ndarray) -> None:
-        """Drop the rows for ``keys`` (sorted int64) from the mirror.
+        """Flush, then drop the rows for ``keys`` (sorted int64) from
+        the mirror.
 
-        Used by tenant spill after the rows were flushed: the rows are
-        tombstoned (``dead``) and removed from the lookup index, so a
-        later re-intern of the same key mints a fresh row seeded from
-        the restored scalar controller.  Tombstones are compacted away
-        once they outnumber live rows, keeping resident memory
-        proportional to the *resident* working set.
+        Used by tenant spill: dirty rows' hot fields are first written
+        back to their scalar controllers (which the caller then
+        exports), then the rows are tombstoned (``dead``) and removed
+        from the lookup index, so a later re-intern of the same key
+        mints a fresh row seeded from the restored scalar controller.
+        Tombstones are compacted away once they outnumber live rows,
+        keeping resident memory proportional to the *resident* working
+        set.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if not keys.size or not self._keys.size:
@@ -347,6 +350,10 @@ class ColumnarBank:
             return
         slots = clip[hit]
         rows = self._key_rows[slots]
+        controllers = self._scalars._controllers
+        dirty = self.dirty[rows]
+        for row, key in zip(rows[dirty].tolist(), keys[hit][dirty].tolist()):
+            self._flush_row(row, controllers[key])
         self.dead[rows] = True
         self.dirty[rows] = False
         self.n_dead += int(rows.size)

@@ -250,15 +250,18 @@ class _TenantJob:
     """A per-shard spill/restore control job riding the event queues.
 
     Queue position is the correctness argument: a restore enqueued
-    *before* its triggering batch's partitions re-interns the tenant's
+    *before* its triggering batch's partitions re-interns the tenants'
     controllers ahead of the events, and a spill enqueued *after* a
     batch's partitions extracts state behind every event already
     admitted — the shard queues are FIFO, so no flush or barrier is
-    needed.
+    needed.  One job carries a whole group: a spill job every victim
+    of one ``pick_victims`` call (each shard queue gets the same job),
+    a restore job every state of the batch's planned restores that
+    lives on its shard.
     """
 
     kind: str  # "spill" | "restore"
-    tenant: int
+    tenants: list[int] = field(default_factory=list)
     states: list[dict] | None = field(default=None, repr=False)
 
 
@@ -546,9 +549,12 @@ class SpeculationService:
                 self._wal_dirty.set()
             if self._repl is not None:
                 self._repl.offer(batch.seq)
-        if plan is not None:
-            for _tenant, states in plan.restores:
-                self._enqueue_restores(states)
+        if plan is not None and plan.restores:
+            for sh, part in self._states_by_shard(
+                    [s for _tenant, states in plan.restores
+                     for s in states]).items():
+                self._queues[sh].put_nowait(
+                    _TenantJob("restore", states=part))
         for p in parts:
             if spans is not None:
                 p.seq = batch.seq
@@ -566,9 +572,11 @@ class SpeculationService:
         self._events_submitted += batch.n_events
         if plan is not None:
             tm.commit(plan, batch, now)
-            for victim in tm.pick_victims():
+            victims = tm.pick_victims()
+            if victims:
+                job = _TenantJob("spill", tenants=victims)
                 for queue in self._queues:
-                    queue.put_nowait(_TenantJob("spill", victim))
+                    queue.put_nowait(job)
 
     async def submit(self, batch: EventBatch) -> None:
         """:meth:`submit_nowait`, yielding to workers afterwards."""
@@ -583,17 +591,15 @@ class SpeculationService:
         eta = self._queued_events[shard] / (2 * rate)
         return float(min(max(eta, 0.001), 1.0))
 
-    def _enqueue_restores(self, states: list[dict]) -> None:
-        """Split one spilled tenant's blob by live shard and enqueue
-        the restore jobs (ahead of the triggering batch's partitions)."""
+    def _states_by_shard(self, states: list[dict]) -> dict[int, list[dict]]:
+        """Split spilled controller states by the live shard owning
+        each branch (order kept within each shard)."""
         n = self.bank.n_shards
         by_shard: dict[int, list[dict]] = {}
         for state in states:
             key = int(state["branch"])
             by_shard.setdefault(shard_of(key, n), []).append(state)
-        for sh, part in by_shard.items():
-            self._queues[sh].put_nowait(
-                _TenantJob("restore", part[0]["branch"] >> 32, part))
+        return by_shard
 
     async def drain(self) -> None:
         """Wait until every queued event has been applied.
@@ -754,15 +760,16 @@ class SpeculationService:
                 if job.kind == "spill":
                     if self._pool is not None:
                         states = await self._pool.spill(shard_index,
-                                                        job.tenant)
+                                                        job.tenants)
                         # The parent mirror learns decision flips from
                         # APPLY_RESULT frames; evictions it learns here.
                         for state in states:
                             shard.decisions.pop(int(state["branch"]), None)
-                        shard.tenant_keys.pop(job.tenant, None)
+                        for tenant in job.tenants:
+                            shard.tenant_keys.pop(tenant, None)
                     else:
-                        states = shard.spill_tenant(job.tenant)
-                    self._tenants.spill_contribution(job.tenant, states)
+                        states = shard.spill_tenant(job.tenants)
+                    self._tenants.spill_contribution(job.tenants, states)
                 else:
                     if self._pool is not None:
                         await self._pool.restore(shard_index, job.states)
@@ -838,17 +845,11 @@ class SpeculationService:
         tenants = ([0] if batch.tenants is None
                    else np.unique(batch.tenants).tolist())
         now = monotonic()
-        n = self.bank.n_shards
+        states: list[dict] = []
         for tenant in tenants:
-            states = tm.take_spilled(int(tenant), now)
-            if not states:
-                continue
-            by_shard: dict[int, list[dict]] = {}
-            for state in states:
-                key = int(state["branch"])
-                by_shard.setdefault(shard_of(key, n), []).append(state)
-            for sh, part in by_shard.items():
-                self.bank.shards[sh].restore_tenant(part)
+            states.extend(tm.take_spilled(int(tenant), now) or ())
+        for sh, part in self._states_by_shard(states).items():
+            self.bank.shards[sh].restore_tenant(part)
 
     def _export_tenants(self) -> dict[str, list[dict]]:
         """Spilled tenants' controller states (snapshot embedding)."""

@@ -283,37 +283,41 @@ class BankShard:
         self.tenant_keys.clear()
 
     # -- tenant spill / restore -----------------------------------------
-    def spill_tenant(self, tenant: int) -> list[dict]:
-        """Extract and evict every controller of ``tenant``.
+    def spill_tenant(self, tenants: list[int]) -> list[dict]:
+        """Extract and evict every controller of every tenant in
+        ``tenants`` (one spill group).
 
         Returns the controllers' ``export_state()`` dicts in ascending
-        key order (deterministic blobs) and removes the keys from the
-        bank, the decision cache, and the columnar mirror.  Restoring
+        key order — so grouped by tenant, each tenant's in branch order
+        (deterministic blobs) — and removes the keys from the bank, the
+        decision cache, and the columnar mirror in one pass.  Restoring
         the same states via :meth:`restore_tenant` is bit-exact.
         """
-        keys = self.tenant_keys.pop(tenant, None)
+        tenant_keys = self.tenant_keys
+        keys: list[int] = []
+        for tenant in tenants:
+            owned = tenant_keys.pop(tenant, None)
+            if owned:
+                keys.extend(owned)
         if not keys:
             return []
-        sorted_keys = np.fromiter(keys, dtype=np.int64, count=len(keys))
+        sorted_keys = np.array(keys, dtype=np.int64)
         sorted_keys.sort()
+        if self.col is not None:
+            self.col.evict_keys(sorted_keys)
         controllers = self.bank._controllers
-        col = self.col
-        if col is not None:
-            for key in sorted_keys.tolist():
-                row = col._row_of(key)
-                if row is not None and col.dirty[row]:
-                    col._flush_row(row, controllers[key])
-            col.evict_keys(sorted_keys)
+        decisions = self.decisions
         states = []
         for key in sorted_keys.tolist():
             ctrl = controllers.pop(key, None)
-            self.decisions.pop(key, None)
+            decisions.pop(key, None)
             if ctrl is not None:
                 states.append(ctrl.export_state())
         return states
 
     def restore_tenant(self, states: list[dict]) -> None:
-        """Re-intern spilled controller states into this shard.
+        """Re-intern spilled controller states (of any number of
+        tenants) into this shard.
 
         Columnar rows are *not* rebuilt eagerly — the next batch that
         touches a restored key re-interns it through the pre-existing-

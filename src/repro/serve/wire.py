@@ -44,7 +44,8 @@ Frame catalogue (body layouts, all little-endian)::
     TAPPLY       uint64 ticket | uint32 n
                  | int64 key[n] | uint8 taken[n]
                  | int64 instr[n]                       parent → worker
-    TSPILL       uint64 ticket | uint32 tenant          parent → worker
+    TSPILL       uint64 ticket | uint32 n
+                 | uint32 tenant[n]                     parent → worker
     TSPILL_RESULT uint64 ticket | uint32 zlen
                  | zlib(JSON state list)                worker → parent
     TRESTORE     uint64 ticket | uint32 zlen
@@ -304,15 +305,21 @@ def decode_tapply(payload: bytes,
     return ticket, keys, taken, instrs
 
 
-def encode_tspill(ticket: int, tenant: int) -> bytes:
-    return _TSPILL.pack(TSPILL, ticket, tenant)
+def encode_tspill(ticket: int, tenants: list[int]) -> bytes:
+    """Parent → worker: evict one spill group's tenants."""
+    return (_TSPILL.pack(TSPILL, ticket, len(tenants))
+            + np.asarray(tenants, dtype="<u4").tobytes())
 
 
-def decode_tspill(payload: bytes) -> tuple[int, int]:
-    """Returns ``(ticket, tenant)``."""
-    _expect(payload, TSPILL, "TSPILL", exact_len=_TSPILL.size)
-    _, ticket, tenant = _TSPILL.unpack(payload)
-    return ticket, tenant
+def decode_tspill(payload: bytes) -> tuple[int, list[int]]:
+    """Returns ``(ticket, tenants)``."""
+    _expect(payload, TSPILL, "TSPILL", min_len=_TSPILL.size)
+    _, ticket, n = _TSPILL.unpack_from(payload)
+    if len(payload) != _TSPILL.size + 4 * n:
+        raise ProtocolError("TSPILL frame length mismatch")
+    tenants = np.frombuffer(payload, dtype="<u4", count=n,
+                            offset=_TSPILL.size)
+    return ticket, tenants.tolist()
 
 
 def _encode_state_blob(ftype: int, ticket: int, states: list) -> bytes:

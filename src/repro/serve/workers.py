@@ -162,9 +162,9 @@ def worker_main(index: int, config_dict: dict, endpoint, kind: str,
                     res.transitions, res.apply_seconds, t_recv, t_done,
                     res.col_fast, res.col_fallback, res.col_single))
             elif ftype == wire.TSPILL:
-                ticket, tenant = wire.decode_tspill(payload)
+                ticket, tenants = wire.decode_tspill(payload)
                 transport.send(wire.encode_tspill_result(
-                    ticket, shard.spill_tenant(tenant)))
+                    ticket, shard.spill_tenant(tenants)))
             elif ftype == wire.TRESTORE:
                 ticket, states = wire.decode_trestore(payload)
                 shard.restore_tenant(states)
@@ -498,9 +498,9 @@ class WorkerPool:
             raise
         return await fut
 
-    async def spill(self, shard: int, tenant: int) -> list[dict]:
-        """Evict one tenant's controllers from a worker's shard;
-        returns their exported states."""
+    async def spill(self, shard: int, tenants: list[int]) -> list[dict]:
+        """Evict one spill group's controllers from a worker's shard;
+        returns their exported states in key order."""
         handle = self.handles[shard]
         handle.check_alive()
         ticket = handle.next_ticket
@@ -508,7 +508,7 @@ class WorkerPool:
         fut = handle.loop.create_future()
         handle.pending[ticket] = fut
         try:
-            await handle.send(wire.encode_tspill(ticket, tenant))
+            await handle.send(wire.encode_tspill(ticket, tenants))
         except Exception:
             handle.pending.pop(ticket, None)
             raise

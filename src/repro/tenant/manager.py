@@ -13,25 +13,32 @@ is where the tenant dimension actually lives:
   estimated as ``distinct branches × bytes_per_branch``, maintained
   incrementally from the unique keys of each admitted batch.  The sum
   is compared against the configured budget after every admission.
-* **Spill victim selection.**  Residents are kept in touch order
-  (an ``OrderedDict`` LRU).  When over budget the manager walks the
-  LRU oldest-first and picks the first tenant at or above the average
+* **Spill victim selection.**  When over budget the manager picks,
+  oldest-touch first, the first resident at or above the average
   resident footprint — falling back to the plain LRU head — so a small
   steadily-active tenant is not evicted to pay for a large one's
   churn; the tenant creating the pressure is the one that pays.
+  Residents are indexed by footprint: one touch-ordered bucket per
+  byte size, each stamped with a monotonic touch sequence number.  The
+  policy's victim is then the oldest bucket head at or above the
+  average, so a pick costs O(distinct footprints), not a rescan of
+  every resident.
 * **Spill/restore orchestration.**  A spill is not performed here —
-  the manager marks the tenant *spilling* and the service enqueues one
-  FIFO control job per shard queue, so the spill serializes after
-  every event already queued for the tenant.  Shards contribute their
-  extracted controller states back via :meth:`spill_contribution`; the
-  last contribution seals the blob (sorted by branch key, so it is
-  deterministic) into the :class:`~repro.tenant.spillstore.SpillStore`.
-  While a tenant is spilling its new submissions are rejected
+  the manager marks the victims of one :meth:`pick_victims` call
+  *spilling* and the service enqueues the whole group as one FIFO
+  control job per shard queue, so the spill serializes after every
+  event already queued for those tenants.  Each shard contributes its
+  extracted controller states for the group via
+  :meth:`spill_contribution`; the last contribution seals every
+  tenant's blob (sorted by branch key, so it is deterministic) into
+  the :class:`~repro.tenant.spillstore.SpillStore` with one append
+  pass.  While a tenant is spilling its new submissions are rejected
   retryably — admitting them would race the queued extraction.
   A spilled tenant's next touch runs the reverse: the blob's states
   are re-interned ahead of that batch's events (same FIFO ordering
-  argument), bit-identically — controller state round-trips through
-  the exact snapshot schema.
+  argument; every restore a batch plans rides one job per shard),
+  bit-identically — controller state round-trips through the exact
+  snapshot schema.
 
 Memory discipline: the manager keeps per-tenant state *only* for
 resident tenants.  A spilled tenant exists as one spill-store index
@@ -83,7 +90,7 @@ class AdmissionPlan:
 class _Resident:
     """Per-resident-tenant state (the only per-tenant memory kept)."""
 
-    __slots__ = ("tokens", "stamp", "keys", "bytes")
+    __slots__ = ("tokens", "stamp", "keys", "bytes", "seq", "filed")
 
     def __init__(self, tokens: float, stamp: float,
                  track_keys: bool) -> None:
@@ -91,6 +98,10 @@ class _Resident:
         self.stamp = stamp
         self.keys: set[int] | None = set() if track_keys else None
         self.bytes = 0
+        #: Touch sequence number: residents sorted by it are the LRU.
+        self.seq = 0
+        #: Footprint bucket this resident is filed under (-1: none).
+        self.filed = -1
 
 
 class TenantManager:
@@ -115,12 +126,17 @@ class TenantManager:
         self._store: SpillStore | None = None
         if resident_bytes is not None or spill_dir is not None:
             self._ensure_store()
-        #: Resident tenants in touch order (oldest first).
-        self._lru: "OrderedDict[int, _Resident]" = OrderedDict()
+        #: Resident tenants; touch order lives in each one's ``seq``.
+        self._residents: dict[int, _Resident] = {}
+        self._touches = 0
+        #: Footprint index (budgeted managers only): byte size → the
+        #: residents of that footprint in touch order (oldest first).
+        self._buckets: dict[int, "OrderedDict[int, _Resident]"] = {}
         self.resident_bytes = 0
         self.peak_resident_bytes = 0
-        #: Tenants mid-spill: collected per-shard states + shards left.
-        self._spill_parts: dict[int, list[dict]] = {}
+        #: Tenants mid-spill → the states shards contributed so far.
+        self._spilling: dict[int, list[dict]] = {}
+        #: Spill group (keyed by its first victim) → shards yet to report.
         self._spill_left: dict[int, int] = {}
         self.spills = 0
         self.restores = 0
@@ -189,7 +205,7 @@ class TenantManager:
             counts = [int(n) for n in c]
         plan = AdmissionPlan(tenants, counts)
         for tenant in tenants:
-            if tenant in self._spill_left:
+            if tenant in self._spilling:
                 plan.reject_kind = "spilling"
                 plan.reject_tenant = tenant
                 return plan
@@ -197,7 +213,7 @@ class TenantManager:
         if rate is not None:
             burst = float(self.quota_burst)
             for tenant, n in zip(tenants, counts):
-                st = self._lru.get(tenant)
+                st = self._residents.get(tenant)
                 if st is None:
                     tokens = burst  # new or returning: a full bucket
                 else:
@@ -225,7 +241,11 @@ class TenantManager:
         """Apply an admitted plan: charge buckets, touch the LRU,
         account footprints, finalize restores.  Called only after the
         batch is accepted (post-WAL), so rejection paths mutate
-        nothing."""
+        nothing.
+
+        The batch's tenants end up at the LRU tail in plan order, so
+        they are re-filed in that order too: every footprint bucket
+        stays in touch order whatever their footprints became."""
         track = self.resident_bytes_budget is not None
         bpb = self.bytes_per_branch
         for tenant, states in plan.restores:
@@ -250,10 +270,10 @@ class TenantManager:
                 self._guard.inc(tenant, n)
         if track:
             ukeys = np.unique(batch.keys())
-            lru = self._lru
+            residents = self._residents
             added = 0
             for key in ukeys.tolist():
-                st = lru[key >> TENANT_SHIFT]
+                st = residents[key >> TENANT_SHIFT]
                 if key not in st.keys:
                     st.keys.add(key)
                     st.bytes += bpb
@@ -261,67 +281,106 @@ class TenantManager:
             self.resident_bytes += added
             if self.resident_bytes > self.peak_resident_bytes:
                 self.peak_resident_bytes = self.resident_bytes
+            for tenant in plan.tenants:
+                self._file(tenant, residents[tenant])
         self._update_gauges()
 
     def _touch(self, tenant: int, now: float) -> _Resident:
-        st = self._lru.get(tenant)
+        st = self._residents.get(tenant)
         if st is None:
             st = _Resident(float(self.quota_burst), now,
                            self.resident_bytes_budget is not None)
-            self._lru[tenant] = st
-        else:
-            self._lru.move_to_end(tenant)
+            self._residents[tenant] = st
+        self._touches += 1
+        st.seq = self._touches
         return st
+
+    def _file(self, tenant: int, st: _Resident) -> None:
+        """Move a just-touched resident to the tail of the bucket of
+        its current footprint."""
+        buckets = self._buckets
+        if st.filed == st.bytes:
+            buckets[st.bytes].move_to_end(tenant)
+            return
+        if st.filed >= 0:
+            self._unfile(tenant, st)
+        bucket = buckets.get(st.bytes)
+        if bucket is None:
+            bucket = buckets[st.bytes] = OrderedDict()
+        bucket[tenant] = st
+        st.filed = st.bytes
+
+    def _unfile(self, tenant: int, st: _Resident) -> None:
+        bucket = self._buckets[st.filed]
+        del bucket[tenant]
+        if not bucket:
+            del self._buckets[st.filed]
+        st.filed = -1
 
     # -- spill ----------------------------------------------------------
     def pick_victims(self) -> list[int]:
         """Tenants to spill until the resident set fits the budget.
 
-        Each returned tenant is already marked *spilling* (out of the
-        LRU, footprint deducted); the caller owes one control job per
-        shard queue.
+        Each victim is the least recently touched resident at or above
+        the average resident footprint, else the LRU head.  The
+        returned group is already marked *spilling* (out of the
+        resident set, footprints deducted); the caller owes one control
+        job per shard queue carrying the whole group, each answered by
+        one :meth:`spill_contribution`.
         """
         budget = self.resident_bytes_budget
         victims: list[int] = []
         if budget is None:
             return victims
-        while self.resident_bytes > budget and self._lru:
-            avg = self.resident_bytes / len(self._lru)
-            chosen = None
-            for tenant, st in self._lru.items():
-                if st.bytes >= avg:
-                    chosen = tenant
-                    break
-            if chosen is None:
-                chosen = next(iter(self._lru))
-            self._begin_spill(chosen)
-            victims.append(chosen)
+        residents = self._residents
+        while self.resident_bytes > budget and residents:
+            avg = self.resident_bytes / len(residents)
+            # Each bucket head is its footprint's oldest resident, so
+            # the oldest qualifying head is the first qualifying tenant
+            # in LRU order, and the oldest head overall the LRU head.
+            pick = head = None
+            for size, bucket in self._buckets.items():
+                first = next(iter(bucket.items()))
+                if head is None or first[1].seq < head[1].seq:
+                    head = first
+                if size >= avg and (pick is None
+                                    or first[1].seq < pick[1].seq):
+                    pick = first
+            tenant, st = pick if pick is not None else head
+            del residents[tenant]
+            self._unfile(tenant, st)
+            self.resident_bytes -= st.bytes
+            self._spilling[tenant] = []
+            victims.append(tenant)
         if victims:
+            self._spill_left[victims[0]] = self.n_shards
             self._update_gauges()
         return victims
 
-    def _begin_spill(self, tenant: int) -> None:
-        st = self._lru.pop(tenant)
-        self.resident_bytes -= st.bytes
-        self._spill_parts[tenant] = []
-        self._spill_left[tenant] = self.n_shards
-
-    def spill_contribution(self, tenant: int, states: list[dict]) -> None:
-        """One shard's extracted states for a spilling tenant; the last
-        shard's contribution seals the blob."""
-        self._spill_parts[tenant].extend(states)
-        self._spill_left[tenant] -= 1
-        if self._spill_left[tenant]:
+    def spill_contribution(self, tenants: list[int],
+                           states: list[dict]) -> None:
+        """One shard's extracted states for a spill group (the victims
+        of one :meth:`pick_victims` call, in the order it returned
+        them); the last shard's contribution seals every tenant's
+        blob."""
+        spilling = self._spilling
+        for state in states:
+            spilling[state["branch"] >> TENANT_SHIFT].append(state)
+        left = self._spill_left[tenants[0]] - 1
+        if left:
+            self._spill_left[tenants[0]] = left
             return
-        parts = self._spill_parts.pop(tenant)
-        del self._spill_left[tenant]
-        parts.sort(key=lambda s: s["branch"])
-        blob = zlib.compress(
-            json.dumps(parts, separators=(",", ":")).encode("utf-8"))
-        self._ensure_store().put(tenant, blob)
-        self.spills += 1
+        del self._spill_left[tenants[0]]
+        blobs = []
+        for tenant in tenants:
+            parts = spilling.pop(tenant)
+            parts.sort(key=lambda s: s["branch"])
+            blobs.append((tenant, zlib.compress(
+                json.dumps(parts, separators=(",", ":")).encode("utf-8"))))
+        self._ensure_store().put_many(blobs)
+        self.spills += len(tenants)
         if self._g_spilled is not None:
-            self._c_spills.inc()
+            self._c_spills.inc(len(tenants))
         self._update_gauges()
 
     def take_spilled(self, tenant: int, now: float) -> list[dict] | None:
@@ -346,6 +405,7 @@ class TenantManager:
             st.keys = {int(s["branch"]) for s in states}
             st.bytes = len(st.keys) * self.bytes_per_branch
             self.resident_bytes += st.bytes
+            self._file(tenant, st)
         self._update_gauges()
         return states
 
@@ -359,11 +419,10 @@ class TenantManager:
 
     def install_spilled(self, spilled: dict[str, list[dict]]) -> None:
         """Seed the store from a snapshot's spilled-tenants section."""
-        store = self._ensure_store()
-        for tenant, states in spilled.items():
-            blob = zlib.compress(
-                json.dumps(states, separators=(",", ":")).encode("utf-8"))
-            store.put(int(tenant), blob)
+        self._ensure_store().put_many(
+            (int(tenant), zlib.compress(
+                json.dumps(states, separators=(",", ":")).encode("utf-8")))
+            for tenant, states in spilled.items())
         self._update_gauges()
 
     # -- views ----------------------------------------------------------
@@ -375,15 +434,15 @@ class TenantManager:
 
     def _update_gauges(self) -> None:
         if self._g_resident is not None:
-            self._g_resident.set(len(self._lru))
+            self._g_resident.set(len(self._residents))
             self._g_spilled.set(self.spilled_count())
             self._g_bytes.set(self.resident_bytes)
 
     def stats(self) -> dict[str, int]:
         out = {
-            "resident_tenants": len(self._lru),
+            "resident_tenants": len(self._residents),
             "spilled_tenants": self.spilled_count(),
-            "spilling_tenants": len(self._spill_left),
+            "spilling_tenants": len(self._spilling),
             "resident_bytes": self.resident_bytes,
             "peak_resident_bytes": self.peak_resident_bytes,
             "resident_budget": self.resident_bytes_budget or 0,

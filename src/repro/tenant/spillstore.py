@@ -91,22 +91,33 @@ class SpillStore:
 
     def put(self, tenant: int, blob: bytes) -> None:
         """Append ``tenant``'s blob, superseding any previous one."""
-        if len(blob) > _LEN_MASK:
-            raise ValueError(
-                f"blob of {len(blob)} bytes exceeds the "
-                f"{_LEN_MASK}-byte record limit")
-        prev = self._index.get(tenant)
-        if prev is not None:
-            dead = (prev & _LEN_MASK) + _RECORD.size
-            self.dead_bytes += dead
-            self.live_bytes -= dead
-        offset = self._writer.tell()
-        self._writer.write(_RECORD.pack(tenant, len(blob)))
-        self._writer.write(blob)
-        self._writer.flush()
-        self._index[tenant] = (offset << _LEN_BITS) | len(blob)
-        self.live_bytes += _RECORD.size + len(blob)
-        self.puts += 1
+        self.put_many(((tenant, blob),))
+
+    def put_many(self, items) -> None:
+        """Append ``(tenant, blob)`` records in order, each superseding
+        any previous blob of its tenant, with one flush for all."""
+        items = list(items)
+        for _tenant, blob in items:
+            if len(blob) > _LEN_MASK:
+                raise ValueError(
+                    f"blob of {len(blob)} bytes exceeds the "
+                    f"{_LEN_MASK}-byte record limit")
+        index = self._index
+        writer = self._writer
+        offset = writer.tell()
+        for tenant, blob in items:
+            prev = index.get(tenant)
+            if prev is not None:
+                dead = (prev & _LEN_MASK) + _RECORD.size
+                self.dead_bytes += dead
+                self.live_bytes -= dead
+            writer.write(_RECORD.pack(tenant, len(blob)))
+            writer.write(blob)
+            index[tenant] = (offset << _LEN_BITS) | len(blob)
+            offset += _RECORD.size + len(blob)
+            self.live_bytes += _RECORD.size + len(blob)
+        writer.flush()
+        self.puts += len(items)
         self._maybe_compact()
 
     def get(self, tenant: int) -> bytes | None:

@@ -101,3 +101,77 @@ def test_eviction_inherits_count_never_undercounts():
     guard.inc(3)  # evicts the sketch minimum, inherits its count
     assert guard.tracked <= 2
     assert family_total(family) == 3
+
+
+class ScanGuard(LabelCardinalityGuard):
+    """Reference: the guard with its sketch minimum found by a linear
+    scan in insertion order (``min(counts, key=counts.get)``)."""
+
+    __slots__ = ()
+
+    def inc(self, ident, amount=1):
+        counts = self._counts
+        have = counts.get(ident)
+        if have is None:
+            if len(counts) >= self.capacity:
+                evicted = min(counts, key=counts.get)
+                have = counts.pop(evicted)
+                if evicted in self._promoted:
+                    self._demote(evicted)
+            else:
+                have = 0
+        counts[ident] = have + amount
+        if ident in self._promoted:
+            self.family.labels(str(ident)).inc(amount)
+            return
+        if len(self._promoted) < self.top_k:
+            self._promoted.add(ident)
+            self._refloor()
+            self.family.labels(str(ident)).inc(amount)
+            return
+        if counts[ident] > self._floor:
+            loser = min(self._promoted, key=lambda t: counts.get(t, 0))
+            if counts[ident] > counts.get(loser, 0):
+                self._promoted.remove(loser)
+                self._demote(loser)
+                self._promoted.add(ident)
+                self._refloor()
+                self.family.labels(str(ident)).inc(amount)
+                return
+            self._refloor()
+        self._overflow.inc(amount)
+
+
+def children(family):
+    return {values[0]: child.value for values, child in family.children()}
+
+
+@pytest.mark.parametrize("stream", ["uniform", "zipf"])
+@pytest.mark.parametrize("top_k,capacity", [(16, None), (4, 6), (2, 2)])
+def test_heap_sketch_matches_the_linear_scan(stream, top_k, capacity):
+    """100k ids through the heap-backed guard and the scanning
+    reference: identical promoted sets, sketches and child values at
+    every checkpoint (equal counts evict the earliest-inserted id)."""
+    rng = np.random.default_rng(7)
+    n = 100_000
+    if stream == "uniform":
+        ids = rng.integers(0, 100_000, n)
+    else:
+        ids = rng.zipf(1.2, n) % 50_000
+    # Mostly unit increments (many count ties), some batch-sized ones.
+    amounts = np.where(rng.random(n) < 0.8, 1, rng.integers(1, 64, n))
+    new_family, new = make_guard(top_k, capacity)
+    ref_family = MetricsRegistry().counter("events_total", "ref",
+                                           ("tenant",))
+    ref = ScanGuard(ref_family, top_k, capacity=capacity)
+    for i, (ident, amount) in enumerate(zip(ids.tolist(),
+                                            amounts.tolist())):
+        new.inc(ident, amount)
+        ref.inc(ident, amount)
+        if i % 997 == 0:
+            assert new.promoted == ref.promoted
+            assert new._counts == ref._counts
+    assert new.promoted == ref.promoted
+    assert list(new._counts) == list(ref._counts)
+    assert new._counts == ref._counts
+    assert children(new_family) == children(ref_family)

@@ -119,7 +119,7 @@ def test_tapply_frame_roundtrip_with_packed_keys():
 
 
 def test_tenant_control_frames_roundtrip():
-    assert wire.decode_tspill(wire.encode_tspill(7, 12345)) == (7, 12345)
+    assert wire.decode_tspill(wire.encode_tspill(7, [12345])) == (7, [12345])
     states = [{"branch": (9 << 32) | 5, "deployed": True},
               {"branch": (9 << 32) | 6, "deployed": False}]
     assert wire.decode_tspill_result(
@@ -127,6 +127,22 @@ def test_tenant_control_frames_roundtrip():
     assert wire.decode_trestore(
         wire.encode_trestore(9, states)) == (9, states)
     assert wire.decode_trestore_ack(wire.encode_trestore_ack(10)) == 10
+
+
+def test_tspill_carries_a_spill_group():
+    """One TSPILL frame names every tenant of a spill group, in order."""
+    group = [5, 1, (1 << 31) - 1, 0, 77]
+    frame = wire.encode_tspill(11, group)
+    assert wire.decode_tspill(frame) == (11, group)
+    assert wire.decode_tspill(wire.encode_tspill(12, [])) == (12, [])
+    for cut in range(1, len(frame)):
+        with pytest.raises(wire.ProtocolError, match="TSPILL"):
+            wire.decode_tspill(frame[:cut])
+    # A count field disagreeing with the body is refused both ways.
+    with pytest.raises(wire.ProtocolError, match="TSPILL"):
+        wire.decode_tspill(frame + b"\x00" * 4)
+    with pytest.raises(wire.ProtocolError, match="TSPILL"):
+        wire.decode_tspill(wire.encode_tspill(13, group)[:-4])
 
 
 def test_tenant_blob_decoders_reject_non_list_bodies():
@@ -222,7 +238,7 @@ def test_every_decoder_rejects_malformed_frames():
         (wire.decode_tapply,
          wire.encode_tapply(3, pcs.astype(np.int64), taken, instrs),
          "TAPPLY", True, True),
-        (wire.decode_tspill, wire.encode_tspill(4, 77), "TSPILL",
+        (wire.decode_tspill, wire.encode_tspill(4, [77, 3, 9]), "TSPILL",
          True, True),
         (wire.decode_tspill_result,
          wire.encode_tspill_result(5, [{"branch": 1}]),

@@ -1,5 +1,7 @@
 """TenantManager: quotas, LRU accounting, spill/restore bookkeeping."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -141,9 +143,9 @@ def test_spilling_tenant_rejects_submissions_until_sealed(tmp_path):
     assert plan.reject_kind == "spilling"
     assert plan.reject_tenant == 1
     # Shard contributions seal the blob; the last one completes it.
-    tm.spill_contribution(1, states_for(1, [0, 2]))
+    tm.spill_contribution([1], states_for(1, [0, 2]))
     assert tm.stats()["spilling_tenants"] == 1
-    tm.spill_contribution(1, states_for(1, [1, 3]))
+    tm.spill_contribution([1], states_for(1, [1, 3]))
     assert tm.stats()["spilling_tenants"] == 0
     assert tm.stats()["spilled_tenants"] == 1
     assert tm.spills == 1
@@ -158,7 +160,7 @@ def test_restore_on_touch_roundtrips_states(tmp_path):
     tm.commit(tm.plan(batch, now=0.0), batch, now=0.0)
     tm.pick_victims()
     spilled = states_for(1, [3, 1, 0, 2])  # unsorted on purpose
-    tm.spill_contribution(1, spilled)
+    tm.spill_contribution([1], spilled)
     # The next touch plans a restore carrying the states back, sorted.
     touch = make_batch(1, [(1, 7)], start_instr=10)
     plan = tm.plan(touch, now=2.0)
@@ -180,7 +182,7 @@ def test_take_spilled_is_the_synchronous_restore(tmp_path):
     batch = make_batch(0, [(1, 0), (1, 1)])
     tm.commit(tm.plan(batch, now=0.0), batch, now=0.0)
     tm.pick_victims()
-    tm.spill_contribution(1, states_for(1, [0, 1]))
+    tm.spill_contribution([1], states_for(1, [0, 1]))
     assert tm.take_spilled(5, now=1.0) is None  # never spilled
     states = tm.take_spilled(1, now=1.0)
     assert states == states_for(1, [0, 1])
@@ -196,9 +198,9 @@ def test_export_install_spilled_roundtrip(tmp_path):
                        spill_dir=str(tmp_path / "a"))
     batch = make_batch(0, [(1, 0), (1, 1), (2, 0)])
     tm.commit(tm.plan(batch, now=0.0), batch, now=0.0)
-    tm.pick_victims()
-    tm.spill_contribution(1, states_for(1, [0, 1]))
-    tm.spill_contribution(2, states_for(2, [0]))
+    assert tm.pick_victims() == [1, 2]
+    tm.spill_contribution([1, 2],
+                          states_for(1, [0, 1]) + states_for(2, [0]))
     exported = tm.export_spilled()
     assert set(exported) == {"1", "2"}
     tm.close()
@@ -218,3 +220,128 @@ def test_active_property():
     budgeted = TenantManager(n_shards=1, resident_bytes=1024)
     assert budgeted.active
     budgeted.close()
+
+
+# -- victim pick: differential against the linear LRU scan -----------------
+class LinearScanLRU:
+    """Reference model of the resident set before the footprint index:
+    an ``OrderedDict`` LRU rescanned oldest-first for every victim."""
+
+    def __init__(self, budget, bpb=BPB):
+        self.budget = budget
+        self.bpb = bpb
+        self.lru = OrderedDict()  # tenant -> set of branch keys
+        self.resident_bytes = 0
+
+    def _touch(self, tenant):
+        if tenant in self.lru:
+            self.lru.move_to_end(tenant)
+        else:
+            self.lru[tenant] = set()
+        return self.lru[tenant]
+
+    def _recall(self, tenant, keys):
+        self._touch(tenant)
+        self.lru[tenant] = set(keys)
+        self.resident_bytes += len(keys) * self.bpb
+
+    def commit(self, plan, batch):
+        for tenant, states in plan.restores:
+            self._recall(tenant, [s["branch"] for s in states])
+        for tenant in plan.tenants:
+            self._touch(tenant)
+        for key in np.unique(batch.keys()).tolist():
+            keys = self.lru[key >> 32]
+            if key not in keys:
+                keys.add(key)
+                self.resident_bytes += self.bpb
+
+    def take_spilled(self, tenant, states):
+        self._recall(tenant, [s["branch"] for s in states])
+
+    def pick_victims(self):
+        victims = []
+        while self.resident_bytes > self.budget and self.lru:
+            avg = self.resident_bytes / len(self.lru)
+            chosen = None
+            for tenant, keys in self.lru.items():
+                if len(keys) * self.bpb >= avg:
+                    chosen = tenant
+                    break
+            if chosen is None:
+                chosen = next(iter(self.lru))
+            self.resident_bytes -= len(self.lru.pop(chosen)) * self.bpb
+            victims.append(chosen)
+        return victims
+
+
+def lru_order(tm):
+    residents = tm._residents
+    return sorted(residents, key=lambda t: residents[t].seq)
+
+
+@pytest.mark.parametrize("budget_branches,population,n_shards,seed", [
+    (4, 6, 1, 0), (16, 40, 2, 1), (64, 300, 3, 2), (8, 1000, 2, 3),
+    (200, 120, 1, 4), (1, 25, 4, 5),
+])
+def test_pick_victims_matches_linear_lru_scan(tmp_path, budget_branches,
+                                              population, n_shards, seed):
+    """Over random commit / synchronous-restore / pick sequences the
+    footprint-indexed pick returns exactly the victims, LRU order and
+    resident bytes of the oldest-first linear scan."""
+    rng = np.random.default_rng(seed)
+    budget = budget_branches * BPB
+    tm = TenantManager(n_shards=n_shards, resident_bytes=budget,
+                       bytes_per_branch=BPB, spill_dir=str(tmp_path))
+    ref = LinearScanLRU(budget)
+    spilled_keys = {}
+    picks = 0
+
+    def seal(victims):
+        # Spread each victim's branches over the shards, as the shard
+        # queues would, one contribution per shard for the group.
+        parts = [[] for _ in range(n_shards)]
+        for tenant in victims:
+            for key in sorted(ref_keys[tenant]):
+                parts[int(rng.integers(n_shards))].append(
+                    {"branch": key, "deployed": False})
+            spilled_keys[tenant] = ref_keys.pop(tenant)
+        for part in parts:
+            tm.spill_contribution(victims, part)
+
+    ref_keys = {}
+    for step in range(400):
+        now = float(step)
+        if spilled_keys and rng.random() < 0.1:
+            tenant = int(rng.choice(sorted(spilled_keys)))
+            states = tm.take_spilled(tenant, now)
+            assert [s["branch"] for s in states] == sorted(
+                spilled_keys[tenant])
+            ref.take_spilled(tenant, states)
+            ref_keys[tenant] = spilled_keys.pop(tenant)
+        else:
+            n = int(rng.integers(1, 24))
+            # Skewed tenants and per-tenant branch spreads give many
+            # distinct footprints.
+            tenants = (rng.zipf(1.3, n) % population + 1).astype(int)
+            pcs = rng.integers(0, 1 + tenants % 9 * 3, n)
+            batch = make_batch(step, list(zip(tenants.tolist(),
+                                              pcs.tolist())))
+            plan = tm.plan(batch, now)
+            assert plan.reject_kind is None  # groups seal synchronously
+            tm.commit(plan, batch, now)
+            ref.commit(plan, batch)
+            for tenant, _ in plan.restores:
+                ref_keys[tenant] = spilled_keys.pop(tenant)
+            for key in np.unique(batch.keys()).tolist():
+                ref_keys.setdefault(key >> 32, set()).add(key)
+        victims = tm.pick_victims()
+        assert victims == ref.pick_victims()
+        assert lru_order(tm) == list(ref.lru)
+        assert tm.resident_bytes == ref.resident_bytes
+        if victims:
+            picks += 1
+            seal(victims)
+    assert picks > 10
+    assert tm.spills == sum(1 for _ in spilled_keys) + tm.restores
+    tm.close()

@@ -126,3 +126,32 @@ def test_stats(tmp_path):
     assert stats["puts"] == 2
     assert stats["live_bytes"] == 2 * 8 + 3 + 4  # two headers + blobs
     store.close()
+
+
+def test_put_many_appends_a_group_with_one_flush(tmp_path):
+    store = SpillStore(tmp_path)
+    store.put(1, b"one")
+    store.put_many([(2, b"two"), (1, b"one-v2"), (3, b"three"),
+                    (2, b"two-v2")])
+    assert store.puts == 5
+    assert {t: store.get(t) for t in (1, 2, 3)} == {
+        1: b"one-v2", 2: b"two-v2", 3: b"three"}
+    assert store.dead_bytes == 2 * 8 + len(b"one") + len(b"two")
+    store.close()
+    reopened = SpillStore(tmp_path)
+    assert reopened.export() == {1: b"one-v2", 2: b"two-v2", 3: b"three"}
+    assert reopened.dead_bytes == store.dead_bytes
+    reopened.close()
+
+
+def test_put_many_rejects_an_oversized_blob_before_writing(tmp_path,
+                                                          monkeypatch):
+    import repro.tenant.spillstore as spillstore
+
+    monkeypatch.setattr(spillstore, "_LEN_MASK", 4)
+    store = SpillStore(tmp_path)
+    with pytest.raises(ValueError, match="record limit"):
+        store.put_many([(1, b"ok"), (2, b"too-long")])
+    assert len(store) == 0
+    assert store.path.stat().st_size == 0
+    store.close()
