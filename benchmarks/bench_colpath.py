@@ -1,4 +1,4 @@
-"""Columnar fast-path benchmark: shard throughput vs distinct-PC count.
+"""Columnar engine benchmark: shard throughput against ``run_vector``.
 
 The measurement core lives in :mod:`repro.bench.targets.colpath`; the
 preferred entry point is the unified runner (``python -m repro.bench
@@ -21,9 +21,10 @@ from repro.bench.targets.colpath import run_colpath_bench
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure columnar vs per-PC-loop shard throughput "
-                    "over a distinct-PC sweep and write a JSON result "
-                    "for the CI bench-gate (shim over repro.bench).")
+        description="Measure columnar shard throughput against the "
+                    "offline run_vector roofline over a distinct-PC "
+                    "sweep and write a JSON result for the CI "
+                    "bench-gate (shim over repro.bench).")
     parser.add_argument("--quick", action="store_true",
                         help="quick mode: 400k events per sweep point "
                              "(the CI gate's configuration)")
@@ -45,8 +46,8 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(f"wrote {args.out}")
     if not result["exact"]:
-        print("ERROR: the columnar engine diverged from the per-PC "
-              "chunk loop", file=sys.stderr)
+        print("ERROR: the columnar engine diverged from run_vector",
+              file=sys.stderr)
         return 1
     return 0
 

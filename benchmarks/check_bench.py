@@ -14,8 +14,10 @@ The gates themselves are declared next to each benchmark in
   (skipped, or failed with ``--strict``, below ``--min-cpus``),
 * ``wal``     — <= 15% fsync=batch overhead within the current run,
 * ``obs``     — <= 10% instrumentation overhead within the current run,
-* ``colpath`` — >= 2.5x wide-point, >= 0.9x narrow-point and >= 2x
-  adversarial evict-heavy columnar/loop ratios within the current run,
+* ``colpath`` — columnar/``run_vector`` ratios within the current run:
+  >= 0.5 at the wide point, >= 2.7 at the narrow point, and >= 0.27,
+  0.67 and 0.75 on the adversarial wave (baseline, stride-8 monitor,
+  eviction by sampling),
 * ``repl``    — <= 15% primary-side overhead within the current run,
 
 plus, for every benchmark: exactness (``exact: false`` in either file

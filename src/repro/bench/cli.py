@@ -71,15 +71,16 @@ def _add_gate_flags(parser: argparse.ArgumentParser) -> None:
                              "same run's instrumented figure "
                              "(default: 0.10)")
     parser.add_argument("--min-colpath-speedup", type=float, default=None,
-                        help="colpath gate: required wide-point "
-                             "columnar-vs-loop speedup (default: 2.5)")
+                        help="colpath gate: lowest tolerated wide-point "
+                             "(4,096 PCs) columnar/run_vector ratio "
+                             "(default: 0.5)")
     parser.add_argument("--min-narrow-ratio", type=float, default=None,
                         help="colpath gate: lowest tolerated 1-PC "
-                             "columnar/loop ratio (default: 0.9)")
+                             "columnar/run_vector ratio (default: 2.7)")
     parser.add_argument("--min-evict-speedup", type=float, default=None,
-                        help="colpath gate: required adversarial evict-"
-                             "heavy columnar-vs-loop speedup "
-                             "(default: 2.0)")
+                        help="colpath gate: lowest tolerated adversarial "
+                             "evict-heavy columnar/run_vector ratio "
+                             "(default: 0.27)")
     parser.add_argument("--max-repl-overhead", type=float, default=None,
                         help="repl gate: highest tolerated primary-side "
                              "throughput loss (default: 0.15)")

@@ -20,8 +20,7 @@ The record attributes wall time to named stages:
     monotonic stamp — CLOCK_MONOTONIC is system-wide on Linux, so
     parent and worker stamps share a timebase).
 ``apply``
-    The engine apply itself (columnar or chunked fallback; the
-    recorder's ``engine`` field says which one this service runs).
+    The shard's columnar engine apply itself.
 ``wire_back``
     Worker-side completion to parent-side receipt of APPLY_RESULT.
 ``apply`` / ``wire_*`` and coalesced batches
@@ -114,18 +113,13 @@ class SpanRecord:
 
 
 class SpanRecorder:
-    """Bounded ring of :class:`SpanRecord` plus per-stage histograms.
+    """Bounded ring of :class:`SpanRecord` plus per-stage histograms."""
 
-    ``engine`` labels which apply engine this service runs ("columnar"
-    or "chunked") so span dumps attribute the ``apply`` stage.
-    """
-
-    def __init__(self, capacity: int = 1024, engine: str = "columnar",
+    def __init__(self, capacity: int = 1024,
                  registry: MetricsRegistry | None = None) -> None:
         if capacity <= 0:
             raise ValueError("span ring capacity must be positive")
         self.capacity = capacity
-        self.engine = engine
         self._lock = threading.Lock()
         self._ring: deque[SpanRecord] = deque()
         self._by_seq: dict[int, SpanRecord] = {}
@@ -269,7 +263,6 @@ class SpanRecorder:
             records = records[-max(n, 0):] if n else []
         return {
             "kind": "repro.obs.spans",
-            "engine": self.engine,
             "capacity": self.capacity,
             "begun": begun,
             "stage_quantiles": self.quantiles(),

@@ -1,12 +1,13 @@
-"""Columnar cross-branch fast path: advance many branches in one shot.
+"""Columnar cross-branch engine: advance many branches in one shot.
 
-The per-branch chunked engine (:mod:`repro.serve.fastpath`) made the
-*within-branch* work numpy-fast, but :meth:`BankShard.apply` still paid
-one Python ``apply_chunk`` call per distinct PC per micro-batch.  With
-thousands of interleaved static branches the shard loop is interpreter-
-bound: each branch contributes a few events and the per-call overhead
-dwarfs the vector math.  This module removes the Python-per-branch cost
-— including at FSM boundaries.
+This is the service's one online engine: :meth:`BankShard.apply` hands
+it every micro-batch.  The per-branch chunked kernel
+(:mod:`repro.serve.fastpath`) makes *within-branch* work numpy-fast,
+but one Python ``apply_chunk`` call per distinct PC per micro-batch is
+interpreter-bound with thousands of interleaved static branches: each
+branch contributes a few events and the per-call overhead dwarfs the
+vector math.  This module removes the Python-per-branch cost —
+including at FSM boundaries.
 
 :class:`ColumnarBank` maintains a PC→row interned index plus
 struct-of-arrays mirrors of the hot controller fields — FSM state code,
@@ -53,8 +54,8 @@ The contract stays **bit-exactness**: rows are mirrors, the scalar
 :class:`~repro.core.controller.ReactiveBranchController` objects remain
 the source of truth for snapshots and ``export_state()`` and are
 refreshed lazily (:meth:`flush`), so snapshots, WAL replay and obs
-tracing stay interchangeable with offline runs and with
-``--no-columnar`` service instances.  The floored-walk identity —
+tracing stay interchangeable with offline runs (the scalar spec and
+:func:`~repro.sim.vector.run_vector`).  The floored-walk identity —
 ``walk = cum - min(0, running_min(cum))`` over the segment's step
 prefix sums with the live counter as carry-in — is the same one
 ``apply_chunk`` applies per branch, evaluated here for all engaged
@@ -566,8 +567,8 @@ class ColumnarBank:
         nseg = len(rows)
         controllers = self._scalars._controllers
         # Deployed view at batch entry: the decision-cache invalidation
-        # set is the *net* flips over the whole batch (matching the
-        # per-segment net the loop engine reports), derived at the end.
+        # set is the *net* flips over the whole batch, derived at the
+        # end.
         dep0 = self.deployed[rows].copy()
         # One batch-global exclusive prefix sum of outcomes: any
         # window's taken count is tc[end] - tc[start], O(1) per window.

@@ -30,8 +30,7 @@ path stacks the cross-branch columnar engine
 (:mod:`repro.serve.colpath`) on top, which resolves FSM arcs, landings
 and evictions for many branches at once in array code and reuses
 :func:`classify_split` and :func:`deploy_delay` from here.  There
-:func:`apply_chunk` serves only single-branch batches; the per-PC loop
-engine (``columnar=False``) applies every batch through it.
+:func:`apply_chunk` serves only single-branch batches.
 """
 
 from __future__ import annotations

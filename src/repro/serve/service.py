@@ -128,11 +128,6 @@ class ServiceConfig:
     #: Trace 1-in-N PCs by deterministic hash (1 = every PC).
     #: Arc counters always cover every transition.
     trace_sample: int = 1
-    #: Batch-application engine: True = the columnar cross-branch fast
-    #: path (:mod:`repro.serve.colpath`), False = the per-PC chunk
-    #: loop.  Both are bit-exact; ``--no-columnar`` is the escape
-    #: hatch.
-    columnar: bool = True
     #: Per-tenant admission quota: sustained events/second refill of
     #: each tenant's token bucket (None = quotas off).  Rejections are
     #: retryable (:class:`QuotaExceededError`).
@@ -280,9 +275,7 @@ class SpeculationService:
                     f"says {self.service_config.n_shards}")
             self.bank = bank
         else:
-            self.bank = ShardedBank(config, self.service_config.n_shards,
-                                    columnar=self.service_config.columnar)
-        self.bank.set_columnar(self.service_config.columnar)
+            self.bank = ShardedBank(config, self.service_config.n_shards)
         self.config = self.bank.config
         n = self.bank.n_shards
         #: One registry for the whole service: telemetry, the WAL
@@ -307,8 +300,6 @@ class SpeculationService:
 
             self.spans = SpanRecorder(
                 capacity=self.service_config.span_ring,
-                engine=("columnar" if self.service_config.columnar
-                        else "chunked"),
                 registry=self.registry)
         if self.service_config.obs and self.service_config.detect:
             from repro.obs.detect import MisspecDetector
@@ -399,8 +390,7 @@ class SpeculationService:
         if self.service_config.workers and self._pool is None:
             pool = WorkerPool(self.config, self.bank.n_shards,
                               transport=self.service_config.transport,
-                              capture=self.service_config.obs,
-                              columnar=self.service_config.columnar)
+                              capture=self.service_config.obs)
             try:
                 await pool.start([s.export_state()
                                   for s in self.bank.shards])
@@ -459,10 +449,7 @@ class SpeculationService:
                 # Re-absorb the authoritative shard state so the parent
                 # bank is complete again (snapshotable, restartable).
                 self.bank.shards = tuple(
-                    BankShard.from_state(
-                        self.config, s,
-                        columnar=self.service_config.columnar)
-                    for s in states)
+                    BankShard.from_state(self.config, s) for s in states)
                 self._bank_stale = False
             else:
                 self._bank_stale = True
@@ -1019,8 +1006,7 @@ class SpeculationService:
                 workers: int | None = None,
                 transport: str | None = None,
                 wal_dir: str | None = None,
-                wal_fsync: str | None = None,
-                columnar: bool | None = None) -> "SpeculationService":
+                wal_fsync: str | None = None) -> "SpeculationService":
         """Rebuild a service from a snapshot file.
 
         ``service_config`` overrides the snapshotted tuning knobs;
@@ -1039,4 +1025,4 @@ class SpeculationService:
         return load_snapshot(path, service_config=service_config,
                              n_shards=n_shards, workers=workers,
                              transport=transport, wal_dir=wal_dir,
-                             wal_fsync=wal_fsync, columnar=columnar)
+                             wal_fsync=wal_fsync)

@@ -217,8 +217,7 @@ class ServiceTelemetry:
         measured wall time when observability capture is on (None keeps
         the histograms untouched — the obs-off fast path).
         ``col_fast``/``col_fallback``/``col_single`` are the columnar
-        engine's event-routing split for the batch (all zero with the
-        engine off)."""
+        engine's event-routing split for the batch."""
         self._c_events.inc(events)
         self._c_batches.inc()
         self._c_shard_events[shard].inc(events)

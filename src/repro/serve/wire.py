@@ -220,8 +220,7 @@ def encode_apply_result(ticket: int, events: int, correct: int,
     frame receipt and apply completion (system-wide on Linux, so they
     compare against parent-side stamps); 0.0 when capture is off.
     ``col_fast``/``col_fallback``/``col_single`` report how the
-    columnar engine routed the batch's events (all zero with the
-    engine off)."""
+    columnar engine routed the batch's events."""
     pcs = np.asarray(changed_pcs, dtype=np.int64)
     dep = np.asarray(changed_deployed, dtype=np.uint8)
     head = _RESULT.pack(APPLY_RESULT, ticket, events, correct, incorrect,

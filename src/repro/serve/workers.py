@@ -126,19 +126,18 @@ def _connect_child(endpoint, kind: str):
 
 
 def worker_main(index: int, config_dict: dict, endpoint, kind: str,
-                capture: bool = False, columnar: bool = True) -> None:
+                capture: bool = False) -> None:
     """Child entry point: own one shard, serve the wire protocol.
 
     ``capture`` turns on the shard's observability hooks (apply timing
     + transition capture); the extra data rides home piggybacked on
-    ``APPLY_RESULT`` frames.  ``columnar`` selects the shard's
-    batch-application engine (the service's ``columnar`` knob).
+    ``APPLY_RESULT`` frames.
     """
     from repro.core.config import ControllerConfig
 
     transport = _connect_child(endpoint, kind)
     config = ControllerConfig(**config_dict)
-    shard = BankShard(index, config, columnar=columnar)
+    shard = BankShard(index, config)
     shard.capture = capture
     transport.send(wire.encode_hello(index, os.getpid()))
     try:
@@ -175,10 +174,9 @@ def worker_main(index: int, config_dict: dict, endpoint, kind: str,
             elif ftype == wire.LOAD:
                 state = wire.decode_load(payload)
                 if state is None:
-                    shard = BankShard(index, config, columnar=columnar)
+                    shard = BankShard(index, config)
                 else:
-                    shard = BankShard.from_state(config, state,
-                                                 columnar=columnar)
+                    shard = BankShard.from_state(config, state)
                     if shard.index != index:
                         raise ValueError(
                             f"LOAD state is for shard {shard.index}, "
@@ -319,8 +317,7 @@ class WorkerPool:
     """One worker process per shard, driven from the asyncio service."""
 
     def __init__(self, config, n_workers: int,
-                 transport: str = "pipe", capture: bool = False,
-                 columnar: bool = True) -> None:
+                 transport: str = "pipe", capture: bool = False) -> None:
         if n_workers <= 0:
             raise ValueError("n_workers must be positive")
         if transport not in ("pipe", "socket"):
@@ -330,7 +327,6 @@ class WorkerPool:
         self.n_workers = n_workers
         self.transport = transport
         self.capture = capture
-        self.columnar = columnar
         self.handles: list[_WorkerHandle] = []
         self._ctx = multiprocessing.get_context(_start_method())
         self._tmpdir = None
@@ -399,7 +395,7 @@ class WorkerPool:
         proc = self._ctx.Process(
             target=worker_main,
             args=(shard, config_dict, endpoint, transport,
-                  self.capture, self.columnar),
+                  self.capture),
             name=f"repro-serve-worker-{shard}", daemon=True)
         proc.start()
         return proc

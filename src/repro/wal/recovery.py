@@ -112,7 +112,6 @@ def recover_service(wal_dir: str | Path,
                     transport: str | None = None,
                     attach_wal: bool = True,
                     wal_fsync: str | None = None,
-                    columnar: bool | None = None,
                     up_to_seq: int | None = None,
                     ) -> tuple["SpeculationService", RecoveryReport]:
     """Snapshot + WAL tail → a service identical to the crashed one.
@@ -143,7 +142,7 @@ def recover_service(wal_dir: str | Path,
     if snapshot is not None:
         service = load_snapshot(snapshot, service_config=service_config,
                                 n_shards=n_shards, workers=workers,
-                                transport=transport, columnar=columnar,
+                                transport=transport,
                                 **wal_kwargs)
     else:
         from dataclasses import replace
@@ -160,8 +159,6 @@ def recover_service(wal_dir: str | Path,
                 overrides["n_shards"] = workers
         if transport is not None:
             overrides["transport"] = transport
-        if columnar is not None:
-            overrides["columnar"] = columnar
         if overrides:
             scfg = replace(scfg, **overrides)
         service = SpeculationService(config, scfg)

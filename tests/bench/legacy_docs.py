@@ -63,36 +63,36 @@ def obs_doc(baseline: float = 2_500_000.0, obs: float = 2_400_000.0,
     }
 
 
-def colpath_doc(wide_speedup: float = 4.0, narrow_ratio: float = 1.0,
-                evict_speedup: float = 8.0, stride8_speedup: float = 10.0,
-                sampling_evict_speedup: float = 10.0,
+def colpath_doc(wide_roofline: float = 1.7, narrow_roofline: float = 2.9,
+                evict_roofline: float = 2.5, stride8_roofline: float = 2.2,
+                sampling_evict_roofline: float = 2.4,
                 exact: bool = True) -> dict:
-    loop = 1_000_000.0
+    vector = 1_000_000.0
 
-    def adversarial(speedup: float) -> dict:
+    def adversarial(roofline: float) -> dict:
         return {"distinct_pcs": 4096, "flip_every": 96,
-                "loop_eps": loop * 0.5,
-                "columnar_eps": loop * 0.5 * speedup,
+                "vector_eps": vector * 0.5,
+                "columnar_eps": vector * 0.5 * roofline,
                 "capture_exact": exact}
 
     return {
         "kind": "repro.colpath.bench",
-        "schema": 2,
+        "schema": 3,
         "machine": {"cpus": 4},
         "sweep": [
-            {"distinct_pcs": 1, "loop_eps": loop,
-             "columnar_eps": loop * narrow_ratio},
-            {"distinct_pcs": 64, "loop_eps": loop,
-             "columnar_eps": loop * 2.0},
-            {"distinct_pcs": 4096, "loop_eps": loop,
-             "columnar_eps": loop * wide_speedup},
+            {"distinct_pcs": 1, "vector_eps": vector,
+             "columnar_eps": vector * narrow_roofline},
+            {"distinct_pcs": 64, "vector_eps": vector,
+             "columnar_eps": vector * 1.3},
+            {"distinct_pcs": 4096, "vector_eps": vector,
+             "columnar_eps": vector * wide_roofline},
         ],
-        "adversarial": adversarial(evict_speedup),
-        "adversarial_stride8": adversarial(stride8_speedup),
-        "adversarial_evict_sampling": adversarial(sampling_evict_speedup),
-        "wide_speedup": wide_speedup,
-        "narrow_ratio": narrow_ratio,
-        "evict_speedup": evict_speedup,
+        "adversarial": adversarial(evict_roofline),
+        "adversarial_stride8": adversarial(stride8_roofline),
+        "adversarial_evict_sampling": adversarial(sampling_evict_roofline),
+        "wide_roofline": wide_roofline,
+        "narrow_roofline": narrow_roofline,
+        "evict_roofline": evict_roofline,
         "exact": exact,
     }
 

@@ -152,29 +152,29 @@ def _doctored_obs():
 
 
 def _doctored_colpath_wide():
-    doc = colpath_doc(wide_speedup=1.5)  # < 2.5x floor
-    doc["wide_speedup"] = 4.0
+    doc = colpath_doc(wide_roofline=0.4)  # < 0.5 floor
+    doc["wide_roofline"] = 1.7
     return doc
 
 
 def _doctored_colpath_narrow():
-    doc = colpath_doc(narrow_ratio=0.5)  # < 0.9x floor
-    doc["narrow_ratio"] = 1.0
+    doc = colpath_doc(narrow_roofline=2.5)  # < 2.7 floor
+    doc["narrow_roofline"] = 2.9
     return doc
 
 
 def _doctored_colpath_evict():
-    doc = colpath_doc(evict_speedup=1.2)  # < 2.0x floor
-    doc["evict_speedup"] = 8.0
+    doc = colpath_doc(evict_roofline=0.2)  # < 0.27 floor
+    doc["evict_roofline"] = 2.5
     return doc
 
 
 def _doctored_colpath_stride8():
-    return colpath_doc(stride8_speedup=1.3)  # < 5.0x floor
+    return colpath_doc(stride8_roofline=0.6)  # < 0.67 floor
 
 
 def _doctored_colpath_sampling_evict():
-    return colpath_doc(sampling_evict_speedup=1.4)  # < 5.0x floor
+    return colpath_doc(sampling_evict_roofline=0.7)  # < 0.75 floor
 
 
 def _doctored_repl():

@@ -126,20 +126,16 @@ def test_spans_and_detector_do_not_perturb_controller_state(
         bench_trace, bench_config):
     """The PR's acceptance property extended to the new features:
     span tracing and the misspeculation detector are read-only with
-    respect to speculation decisions, on both apply engines."""
-    for columnar in (True, False):
-        _, metrics_full, state_full = _run_service(
-            bench_trace, bench_config,
-            ServiceConfig(n_shards=2, columnar=columnar,
-                          spans=True, detect=True))
-        _, metrics_bare, state_bare = _run_service(
-            bench_trace, bench_config,
-            ServiceConfig(n_shards=2, columnar=columnar,
-                          spans=False, detect=False))
-        assert metrics_full == metrics_bare
-        assert state_full == state_bare
-        assert metrics_full == run_reactive(bench_trace,
-                                            bench_config).metrics
+    respect to speculation decisions."""
+    _, metrics_full, state_full = _run_service(
+        bench_trace, bench_config,
+        ServiceConfig(n_shards=2, spans=True, detect=True))
+    _, metrics_bare, state_bare = _run_service(
+        bench_trace, bench_config,
+        ServiceConfig(n_shards=2, spans=False, detect=False))
+    assert metrics_full == metrics_bare
+    assert state_full == state_bare
+    assert metrics_full == run_reactive(bench_trace, bench_config).metrics
 
 
 def test_detector_sees_the_whole_stream(bench_trace, bench_config):

@@ -36,11 +36,19 @@ def _trace(pcs, taken, instrs) -> Trace:
                  instrs=np.asarray(instrs, dtype=np.int64))
 
 
+def _deployed(bank: ControllerBank, pcs) -> dict[int, bool]:
+    """Deployed-code view of ``pcs`` (an unseen branch is unoptimized)."""
+    return {pc: pc in bank and bank.controller(pc).deployed for pc in pcs}
+
+
 def _scalar(config, trace, bounds):
-    """Per-event spec: final bank plus per-batch (correct, incorrect)."""
+    """Per-event spec: final bank plus per-batch deltas — ``(correct,
+    incorrect, net deployed-view flips, instruction high-water mark)``."""
     bank = ControllerBank(config)
     deltas = []
     for lo, hi in bounds:
+        touched = set(trace.branch_ids[lo:hi].tolist())
+        before = _deployed(bank, touched)
         c = x = 0
         for j in range(lo, hi):
             out = bank.observe(int(trace.branch_ids[j]),
@@ -48,7 +56,9 @@ def _scalar(config, trace, bounds):
             if out.speculated:
                 c += out.correct
                 x += not out.correct
-        deltas.append((c, x))
+        after = _deployed(bank, touched)
+        flips = {pc: d for pc, d in after.items() if d != before[pc]}
+        deltas.append((c, x, flips, int(trace.instrs[hi - 1])))
     return bank, deltas
 
 
@@ -58,7 +68,10 @@ def _drive(shard: BankShard, trace, bounds):
     for lo, hi in bounds:
         res = shard.apply(trace.branch_ids[lo:hi], trace.taken[lo:hi],
                           trace.instrs[lo:hi])
-        deltas.append((res.correct, res.incorrect))
+        assert res.events == hi - lo
+        deltas.append((res.correct, res.incorrect,
+                       dict(zip(res.changed, res.changed_deployed)),
+                       res.last_instr))
         fired.extend(res.transitions)
     return deltas, fired
 
@@ -71,7 +84,7 @@ def assert_three_engine_parity(config, trace, bounds,
     many batches and the rest runs on a shard restored from the export.
     """
     ref_bank, ref_deltas = _scalar(config, trace, bounds)
-    col = BankShard(0, config, columnar=True)
+    col = BankShard(0, config)
     if restore_after is None:
         deltas, fired = _drive(col, trace, bounds)
     else:
@@ -91,8 +104,8 @@ def assert_three_engine_parity(config, trace, bounds,
     # Decisions: the deployed-code view of every branch.
     assert col.decisions == {c.branch: c.deployed for c in ref_bank}
     # The offline engine sees each branch's whole future at once.
-    correct = sum(c for c, _ in ref_deltas)
-    incorrect = sum(x for _, x in ref_deltas)
+    correct = sum(d[0] for d in ref_deltas)
+    incorrect = sum(d[1] for d in ref_deltas)
     spec = summarize_bank(trace.name, trace.input_name, config, ref_bank,
                           len(trace), correct, incorrect,
                           trace.total_instructions)
@@ -230,7 +243,7 @@ def test_snapshot_mid_window_restores_exactly():
     cut = 2 * 9
     engaged, pos, tally = _window_at(SAMPLING, trace, cut)
     assert engaged and 0 < pos < SAMPLING.evict_sample_len
-    col = BankShard(0, SAMPLING, columnar=True)
+    col = BankShard(0, SAMPLING)
     col.apply(trace.branch_ids[:cut], trace.taken[:cut], trace.instrs[:cut])
     state = col.export_state()
     mid = next(s for s in state["bank"] if s["branch"] == 0)
@@ -260,7 +273,7 @@ def test_no_fallback_on_adversarial_traffic(kind, variant):
     boundary-dense traces, and still agree with the offline spec."""
     config = SENSITIVITY_VARIANTS()[variant]
     trace = _adversarial(kind)
-    shard = BankShard(0, config, columnar=True)
+    shard = BankShard(0, config)
     shard.capture = True
     arcs: dict[int, int] = {}
     for lo in range(0, len(trace), 8_192):

@@ -258,6 +258,34 @@ def test_version6_snapshot_loads_as_tenant_zero(bench_trace,
             == run_reactive(bench_trace, bench_config).metrics)
 
 
+def test_retired_columnar_knob_is_dropped_on_load(tmp_path):
+    """v5-v7 snapshots store the retired batch-engine knob
+    (``"columnar": true|false``) in their service config.  Loading —
+    directly or through WAL recovery — drops it, and both spellings
+    restore the same bank."""
+    from pathlib import Path
+
+    from repro.wal.recovery import recover_service
+
+    fixture = Path(__file__).parent / "data" / "snapshot-v6.json.gz"
+    with gzip.open(fixture, "rt", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["service_config"]["columnar"] is True
+    doc["service_config"]["columnar"] = False
+    loop_era = tmp_path / "snapshot-v6-loop-engine.json.gz"
+    with gzip.open(loop_era, "wt", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+    expected = load_snapshot(fixture).bank.export_state()
+    assert expected["shards"][0]["events_applied"] > 0
+    for path in (fixture, loop_era):
+        assert load_snapshot(path).bank.export_state() == expected
+        service, _ = recover_service(tmp_path / "wal", snapshot=path,
+                                     attach_wal=False)
+        assert service.bank.export_state() == expected
+        assert service.last_seq == doc["last_seq"]
+
+
 def test_find_latest_snapshot_skips_corrupt(tmp_path, bench_config):
     from repro.serve.snapshot import find_latest_snapshot
 

@@ -99,14 +99,13 @@ def tenant_of(key):
 
 
 # -- legacy equivalence ----------------------------------------------------
-@pytest.mark.parametrize("columnar", [True, False])
-def test_tenant_zero_batches_equal_legacy_batches(columnar):
+def test_tenant_zero_batches_equal_legacy_batches():
     """An explicit all-zeros tenant column and a tenant-less batch
     produce bit-identical banks: pre-tenant traffic IS tenant 0."""
     batches = mixed_batches(3_000, [0], 120, seed=4)
     legacy = [EventBatch(seq=b.seq, pcs=b.pcs, taken=b.taken,
                          instrs=b.instrs) for b in batches]
-    scfg = ServiceConfig(n_shards=3, columnar=columnar)
+    scfg = ServiceConfig(n_shards=3)
     zeroed = run_service(batches, scfg,
                          after=lambda s: (controller_states(s),
                                           s.metrics()))
@@ -117,14 +116,13 @@ def test_tenant_zero_batches_equal_legacy_batches(columnar):
 
 
 # -- spill / restore bit-exactness -----------------------------------------
-@pytest.mark.parametrize("columnar", [True, False])
 @pytest.mark.parametrize("n_shards", [1, 3])
-def test_spill_restore_is_bit_exact(columnar, n_shards):
+def test_spill_restore_is_bit_exact(n_shards):
     """A budget small enough to thrash every tenant in and out of
     residency must leave exactly the states an unbudgeted run has."""
     tenants = list(range(1, 7))
     batches = mixed_batches(6_000, tenants, 40, seed=11)
-    base = ServiceConfig(n_shards=n_shards, columnar=columnar)
+    base = ServiceConfig(n_shards=n_shards)
     reference = run_service(batches, base, after=controller_states)
 
     def after(service):
@@ -145,8 +143,7 @@ def test_spill_restore_is_bit_exact(columnar, n_shards):
 
     budgeted = run_service(
         batches,
-        ServiceConfig(n_shards=n_shards, columnar=columnar,
-                      tenant_resident_bytes=8 * BPB,
+        ServiceConfig(n_shards=n_shards, tenant_resident_bytes=8 * BPB,
                       tenant_bytes_per_branch=BPB),
         after=after)
     assert budgeted == reference
