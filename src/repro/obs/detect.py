@@ -1,8 +1,8 @@
 """Online misspeculation health detection over the exact event stream.
 
 The paper's reactive controllers exist to bound misspeculation bursts;
-this module watches for those bursts *online*, from the same exact
-per-event stream the controllers consume, and renders a verdict:
+this module watches for those bursts *online*, from the per-apply
+outcome counts and the exact FSM arc stream, and renders a verdict:
 
 ``ok``
     Window misspeculation rate below the degraded threshold and no
@@ -20,34 +20,25 @@ per-event stream the controllers consume, and renders a verdict:
 
 Three inputs, all read-only with respect to controller state:
 
-* :meth:`MisspecDetector.observe_batch` — the raw (keys, outcomes)
-  arrays of each micro-batch, *before* that batch's transitions are
-  applied to detector state.  Used for exact per-PC execution counting
-  and flip-onset detection on deployed PCs.
+* :meth:`MisspecDetector.observe_batch` — one apply's per-PC
+  **time-to-evict** samples: executions from the first flipped outcome
+  to the EVICT arc, in that PC's own execution counts.  The shard
+  computes them (:meth:`~repro.serve.colpath.ColumnarBank._watch_flips`)
+  from the bank's own ``exec`` column, so the onset shares the
+  controller's absolute 0-based ``exec_index`` timebase in every mode —
+  in-process, worker processes, and after a snapshot restore for PCs
+  selected after the restore.  A PC selected before the snapshot yields
+  no sample (the watch is not part of snapshot state), and outcomes in
+  the *same* micro-batch as the SELECT are not flip-checked: a flip
+  inside the SELECT batch is attributed to the next batch.
 * :meth:`MisspecDetector.observe_apply` — per-apply aggregate counts
   (events, correct, incorrect) plus the instruction span, feeding the
   sliding window (misspec rate, misspec-per-kilo-instruction).
 * :meth:`MisspecDetector.observe_transitions` — the exact FSM arc
   stream (it registers as a :class:`~repro.obs.tracing.TransitionTrace`
-  listener in the service).  SELECT deploys a PC into flip tracking;
-  EVICT closes it and yields the per-PC **time-to-evict**: events from
-  the first flipped outcome to the EVICT arc, in that PC's own
-  execution counts.
-
-Time-to-evict is *exact* for branches whose flip happens in a later
-micro-batch than their SELECT: the detector maintains absolute per-PC
-execution counts from the start of the stream, so the onset index
-shares the controller's 0-based ``exec_index`` timebase and
-``tte = evict.exec_index - onset_exec`` matches the arc-counter ground
-truth.  Counting runs on one of two vectorised representations: a
-dense array indexed directly by key (``np.bincount`` scatter + O(1)
-lookup) while every key stays below :data:`_DENSE_LIMIT`, or
-sorted-parallel arrays (``np.unique`` + sorted-merge) once a huge key
-— e.g. a packed ``(tenant << 32) | pc`` — appears; the switch migrates
-the counts, so totals are exact either way.  One known granularity limit: outcomes in the *same*
-micro-batch as the SELECT are not flip-checked (the deployed set is
-updated from transitions after the batch's outcomes are observed), so
-a flip inside the SELECT batch is attributed to the next batch.
+  listener in the service).  SELECT adds a PC to the deployed set and
+  EVICT removes it (the ``deployed_pcs`` gauge); EVICT also marks the
+  window for the storm signal.
 
 Verdicts latch: ``peak_verdict`` and the burst counter never move
 backwards, so a CI step can assert "a burst happened" after the storm
@@ -63,8 +54,6 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import ARC_CODE
@@ -82,11 +71,6 @@ TTE_BUCKETS = tuple(float(1 << i) for i in range(17))
 
 #: Most recent per-PC time-to-evict samples kept for ``health_doc``.
 _TTE_KEEP = 1024
-
-#: Keys below this use the dense counting representation (direct
-#: indexing; worst case 16 MiB of int64 counters).  Packed tenant keys
-#: and other huge ids switch the detector to sorted-merge counting.
-_DENSE_LIMIT = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -121,16 +105,6 @@ class DetectorConfig:
             raise ValueError("storm_evictions must be positive")
 
 
-class _PcState:
-    """Flip-tracking state for one deployed (selected) PC."""
-
-    __slots__ = ("direction", "onset_exec")
-
-    def __init__(self) -> None:
-        self.direction: bool | None = None
-        self.onset_exec: int | None = None
-
-
 class MisspecDetector:
     """Sliding-window misspeculation health over the exact stream."""
 
@@ -138,31 +112,8 @@ class MisspecDetector:
                  registry: MetricsRegistry | None = None) -> None:
         self.config = config if config is not None else DetectorConfig()
         self._lock = threading.Lock()
-        # -- absolute per-PC execution counts ---------------------------
-        # Dense representation: counts indexed by key, plus parallel
-        # arrays for flip tracking without per-batch grouping.
-        # ``_dense_dir`` codes: 0 = not armed (untracked, or onset
-        # already recorded), 1 = trained not-taken, 2 = trained taken,
-        # 3 = deployed but direction not yet observed.  ``_dense_onset``
-        # holds the flip-onset exec index (-1 unset).
-        self._dense: np.ndarray | None = None
-        self._dense_dir: np.ndarray | None = None
-        self._dense_onset: np.ndarray | None = None
-        # Sparse representation (sorted-parallel arrays) once a key
-        # >= _DENSE_LIMIT (or negative) appears.
-        self._sparse = False
-        self._pcs_arr: np.ndarray | None = None
-        self._counts_arr: np.ndarray | None = None
-        # -- deployed-PC flip tracking ----------------------------------
-        self._deployed: dict[int, _PcState] = {}
-        self._deployed_arr: np.ndarray | None = None
-        self._deployed_dirty = False
-        # Dense-mode armed set (nonzero _dense_dir entries): a scalar
-        # count (zero lets whole batches skip the flip check) and a
-        # cached index array rebuilt when membership changes.
-        self._armed = 0
-        self._armed_arr: np.ndarray | None = None
-        self._armed_dirty = False
+        #: PCs between their SELECT and EVICT arcs (gauge only).
+        self._deployed: set[int] = set()
         # -- sliding window ---------------------------------------------
         self._window: deque[tuple[int, int, int, int]] = deque()
         self._win_events = 0
@@ -195,7 +146,7 @@ class MisspecDetector:
                 "Health verdict: 0=ok 1=degraded 2=misspec-burst")
             self._g_deployed = registry.gauge(
                 "repro_detect_deployed_pcs",
-                "PCs currently tracked for flip onset (deployed)")
+                "PCs between a SELECT and its EVICT arc")
             self._c_bursts = registry.counter(
                 "repro_detect_bursts_total",
                 "Transitions into the misspec-burst verdict")
@@ -204,198 +155,15 @@ class MisspecDetector:
                 "Per-PC executions from first flipped outcome to EVICT",
                 buckets=TTE_BUCKETS)
 
-    # -- exact per-PC execution counting --------------------------------
-    def _grow_dense(self, size: int) -> None:
-        """Ensure the dense arrays cover indices ``[0, size)``."""
-        if self._dense is None:
-            grown = max(size, 1024)
-            self._dense = np.zeros(grown, dtype=np.int64)
-            self._dense_dir = np.zeros(grown, dtype=np.uint8)
-            self._dense_onset = np.full(grown, -1, dtype=np.int64)
-            return
-        if size <= len(self._dense):
-            return
-        grown = max(size, 2 * len(self._dense))
-        dense = np.zeros(grown, dtype=np.int64)
-        dense[:len(self._dense)] = self._dense
-        direction = np.zeros(grown, dtype=np.uint8)
-        direction[:len(self._dense_dir)] = self._dense_dir
-        onset = np.full(grown, -1, dtype=np.int64)
-        onset[:len(self._dense_onset)] = self._dense_onset
-        self._dense = dense
-        self._dense_dir = direction
-        self._dense_onset = onset
-
-    def _to_sparse(self) -> None:
-        """Migrate dense counts into the sorted-parallel arrays; used
-        once a key outside the dense range appears."""
-        self._sparse = True
-        if self._dense is None:
-            return
-        # Deployed-PC flip state moves from the dense arrays into the
-        # per-PC state objects the sparse path reads.
-        for pc, state in self._deployed.items():
-            if 0 <= pc < len(self._dense):
-                d = int(self._dense_dir[pc])
-                state.direction = bool(d - 1) if d in (1, 2) else None
-                onset = int(self._dense_onset[pc])
-                state.onset_exec = None if onset < 0 else onset
-        nz = np.flatnonzero(self._dense)
-        self._pcs_arr = nz.astype(np.int64)
-        self._counts_arr = self._dense[nz]
-        self._dense = None
-        self._dense_dir = None
-        self._dense_onset = None
-        self._deployed_dirty = True
-
-    def _count_batch(self, uniq: np.ndarray, counts: np.ndarray) -> None:
-        """Fold one batch's per-PC occurrence counts into the absolute
-        counters (sorted-merge; fully vectorised once the PC set is
-        stable)."""
-        if self._pcs_arr is None:
-            self._pcs_arr = uniq.astype(np.int64, copy=True)
-            self._counts_arr = counts.astype(np.int64, copy=True)
-            return
-        pcs = self._pcs_arr
-        idx = np.searchsorted(pcs, uniq)
-        safe = np.minimum(idx, len(pcs) - 1)
-        known = pcs[safe] == uniq
-        if known.all():
-            np.add.at(self._counts_arr, idx, counts)
-            return
-        merged = np.union1d(pcs, uniq)
-        new_counts = np.zeros(len(merged), dtype=np.int64)
-        new_counts[np.searchsorted(merged, pcs)] = self._counts_arr
-        np.add.at(new_counts, np.searchsorted(merged, uniq), counts)
-        self._pcs_arr = merged
-        self._counts_arr = new_counts
-
-    def _exec_base(self, pc: int) -> int:
-        """Absolute 0-based execution index of ``pc``'s next event."""
-        if not self._sparse:
-            if self._dense is None or pc >= len(self._dense) or pc < 0:
-                return 0
-            return int(self._dense[pc])
-        if self._pcs_arr is None:
-            return 0
-        idx = int(np.searchsorted(self._pcs_arr, pc))
-        if idx < len(self._pcs_arr) and int(self._pcs_arr[idx]) == pc:
-            return int(self._counts_arr[idx])
-        return 0
-
     # -- inputs ----------------------------------------------------------
-    def observe_batch(self, keys: np.ndarray, taken: np.ndarray) -> None:
-        """Observe one micro-batch's raw outcomes (before its
-        transitions update the deployed set)."""
-        if len(keys) == 0:
+    def observe_batch(self, tte) -> None:
+        """Record one apply's ``(pc, time_to_evict)`` samples
+        (:attr:`~repro.serve.shard.ShardApplyResult.tte`)."""
+        if not tte:
             return
-        keys64 = np.asarray(keys, dtype=np.int64)
         with self._lock:
-            if not self._sparse:
-                mx = int(keys64.max())
-                if mx < _DENSE_LIMIT and int(keys64.min()) >= 0:
-                    self._grow_dense(mx + 1)
-                    counts = np.bincount(keys64,
-                                         minlength=len(self._dense))
-                    if self._armed:
-                        self._check_flips_dense(keys64, taken, counts)
-                    self._dense += counts
-                    return
-                self._to_sparse()
-            uniq, counts = np.unique(keys64, return_counts=True)
-            if self._deployed:
-                self._check_flips_sparse(keys64, taken, uniq)
-            self._count_batch(uniq, counts)
-
-    def _check_flips_dense(self, keys64: np.ndarray, taken: np.ndarray,
-                           counts: np.ndarray) -> None:
-        """Dense-mode flip check at per-PC count granularity.
-
-        ``counts`` is this batch's occurrence bincount (already needed
-        for execution counting); a second bincount over the taken
-        events yields, per armed PC, how many outcomes opposed its
-        trained direction — so the steady state (no armed PC flips)
-        costs two batch-length passes plus a handful of armed-length
-        vector ops, and the per-event scans below run at most once per
-        armed PC's lifetime (finding the onset disarms it)."""
-        if self._armed_dirty or self._armed_arr is None:
-            self._armed_arr = np.flatnonzero(self._dense_dir)
-            self._armed_dirty = False
-        armed = self._armed_arr
-        taken_arr = np.asarray(taken)
-        taken_cnt = np.bincount(keys64, weights=taken_arr,
-                                minlength=len(self._dense))
-        ca = counts[armed]
-        ct = taken_cnt[armed].astype(np.int64)
-        d = self._dense_dir[armed]
-        unk = (d == 3) & (ca > 0)
-        if unk.any():
-            # First observed post-select batch for these PCs: for a
-            # trained biased branch every outcome here is the bias, so
-            # the batch majority is the exact trained direction.
-            for j in np.flatnonzero(unk).tolist():
-                pc = int(armed[j])
-                self._dense_dir[pc] = np.uint8(
-                    2 if 2 * int(ct[j]) >= int(ca[j]) else 1)
-            d = self._dense_dir[armed]
-        # Trained taken (2): flips are the not-taken occurrences;
-        # trained not-taken (1): flips are the taken occurrences.
-        # Armed PCs have no onset yet by construction, so any flip is
-        # this PC's first — locate it exactly in program order.
-        hit = np.flatnonzero(np.where(d == 2, ca - ct, ct) > 0)
-        for j in hit.tolist():
-            pc = int(armed[j])
-            trained_taken = int(d[j]) == 2
-            pos = np.flatnonzero((keys64 == pc)
-                                 & (taken_arr != trained_taken))
-            first = int(pos[0])
-            before = int(np.count_nonzero(keys64[:first] == pc))
-            self._dense_onset[pc] = self._exec_base(pc) + before
-            self._dense_dir[pc] = 0  # disarm: flip work for pc is done
-            self._armed -= 1
-            self._armed_dirty = True
-
-    def _check_flips_sparse(self, keys64: np.ndarray, taken: np.ndarray,
-                            uniq: np.ndarray) -> None:
-        if self._deployed_dirty or self._deployed_arr is None:
-            self._deployed_arr = np.fromiter(
-                sorted(self._deployed), dtype=np.int64,
-                count=len(self._deployed))
-            self._deployed_dirty = False
-        hits = self._deployed_arr[
-            np.isin(self._deployed_arr, uniq, assume_unique=True)]
-        if len(hits) == 0:
-            return
-        self._flip_groups(keys64, taken,
-                          np.flatnonzero(np.isin(keys64, hits)))
-
-    def _flip_groups(self, keys64: np.ndarray, taken: np.ndarray,
-                     idx: np.ndarray) -> None:
-        """Group the deployed-PC events at ``idx`` by key (stable, so
-        program order is preserved within each group) and update each
-        PC's trained direction / flip onset."""
-        sub_keys = keys64[idx]
-        order = np.argsort(sub_keys, kind="stable")
-        sub_keys = sub_keys[order]
-        sub_taken = np.asarray(taken)[idx[order]]
-        bounds = np.flatnonzero(np.diff(sub_keys)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(sub_keys)]))
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            pc = int(sub_keys[s])
-            state = self._deployed[pc]
-            outs = sub_taken[s:e]
-            if state.direction is None:
-                # First observed post-select batch: for a trained
-                # biased branch every outcome here is the bias, so the
-                # majority is the exact trained direction.
-                state.direction = bool(
-                    np.count_nonzero(outs) * 2 >= len(outs))
-            if state.onset_exec is None:
-                flipped = outs != state.direction
-                if flipped.any():
-                    state.onset_exec = (self._exec_base(pc)
-                                        + int(np.argmax(flipped)))
+            for pc, t in tte:
+                self._record_tte(int(pc), int(t))
 
     def observe_apply(self, events: int, correct: int, incorrect: int,
                       first_instr: int, last_instr: int) -> None:
@@ -421,42 +189,20 @@ class MisspecDetector:
             self._update_verdict()
 
     def observe_transitions(self, transitions) -> None:
-        """Consume exact FSM arcs: SELECT deploys a PC into flip
-        tracking, EVICT closes it and records time-to-evict.
+        """Consume exact FSM arcs: SELECT adds a PC to the deployed
+        set, EVICT removes it and marks the window.
 
         Accepts ``(pc, arc_code, exec_index, instr)`` tuples — the
         shape :class:`~repro.obs.tracing.TransitionTrace` listeners
         receive.
         """
         with self._lock:
-            for pc, arc, exec_index, _instr in transitions:
+            for pc, arc, _exec_index, _instr in transitions:
                 if arc == _SELECT:
-                    pc = int(pc)
-                    self._deployed[pc] = _PcState()
-                    self._deployed_dirty = True
-                    if not self._sparse and 0 <= pc < _DENSE_LIMIT:
-                        self._grow_dense(pc + 1)
-                        self._dense_dir[pc] = 3
-                        self._dense_onset[pc] = -1
-                        self._armed += 1
-                        self._armed_dirty = True
+                    self._deployed.add(int(pc))
                 elif arc == _EVICT:
-                    pc = int(pc)
-                    state = self._deployed.pop(pc, None)
-                    self._deployed_dirty = True
-                    if (not self._sparse and self._dense_dir is not None
-                            and 0 <= pc < len(self._dense_dir)):
-                        if self._dense_dir[pc]:
-                            self._armed -= 1
-                            self._armed_dirty = True
-                        self._dense_dir[pc] = 0
-                        onset = int(self._dense_onset[pc])
-                        if state is not None and onset >= 0:
-                            state.onset_exec = onset
+                    self._deployed.discard(int(pc))
                     self._evict_marks.append(self._total_events)
-                    if state is not None and state.onset_exec is not None:
-                        self._record_tte(
-                            pc, int(exec_index) - state.onset_exec)
             if self._g_deployed is not None:
                 self._g_deployed.set(len(self._deployed))
             self._update_verdict()

@@ -44,6 +44,14 @@ rows:
   the loop then iterates on each row's remaining suffix until every
   segment is consumed.
 
+With ``capture`` on, a **flip watch** brackets the rounds for the
+misspeculation detector (:mod:`repro.obs.detect`): two observer
+columns (``flip_dir``, ``flip_onset``) record, from the row's own
+``exec`` count, the execution index of a selected branch's first
+outcome against its trained direction, and each EVICT arc that closes
+a watch with an onset yields a ``(pc, time_to_evict)`` sample.  They
+never feed the FSM.
+
 Every controller configuration resolves in these rounds.  Only
 single-branch batches take the per-branch engine
 (:meth:`_fallback_segment`, i.e. :func:`~repro.serve.fastpath.apply_chunk`),
@@ -96,11 +104,18 @@ _CODE_EVICT = ARC_CODE[TransitionKind.EVICT.value]
 _CODE_REVISIT = ARC_CODE[TransitionKind.REVISIT.value]
 _CODE_DISABLE = ARC_CODE[TransitionKind.DISABLE.value]
 
-#: int64 columns, in (attribute, default) order.
+#: Row columns by dtype.  ``flip_dir``/``flip_onset`` are the flip
+#: watch (see :meth:`ColumnarBank._watch_flips`), not controller state.
 _I64_COLS = ("pc", "exec", "next_fire", "land", "counter",
              "mon_taken", "mon_samples", "win_pos", "win_correct",
-             "bias_entries", "correct", "incorrect")
+             "bias_entries", "correct", "incorrect", "flip_onset")
+_I8_COLS = ("state", "flip_dir")
 _BOOL_COLS = ("deployed", "dep_dir", "episode", "dirty", "dead")
+_COLS = ((_I64_COLS, np.int64), (_I8_COLS, np.int8), (_BOOL_COLS, bool))
+
+#: ``flip_dir`` codes: not watching, trained not-taken, trained taken,
+#: selected but direction not yet seen.
+_WATCH_OFF, _WATCH_NOT_TAKEN, _WATCH_TAKEN, _WATCH_UNSEEN = range(4)
 
 
 class ColumnarBank:
@@ -119,8 +134,8 @@ class ColumnarBank:
     __slots__ = ("config", "_scalars", "_decisions", "n_rows", "n_dead",
                  "_cap", "_keys", "_key_rows", "_tenant_index",
                  "rows_fast", "rows_single", "events_fast", "events_single",
-                 "arcs_fast", "lands_fast",
-                 "state", *_I64_COLS, *_BOOL_COLS)
+                 "arcs_fast", "lands_fast", "_parked_flips",
+                 *_I64_COLS, *_I8_COLS, *_BOOL_COLS)
 
     def __init__(self, config: ControllerConfig, scalars: ControllerBank,
                  decisions: dict[int, bool],
@@ -137,6 +152,9 @@ class ColumnarBank:
         self._grow(1024)
         self._keys = np.empty(0, dtype=np.int64)
         self._key_rows = np.empty(0, dtype=np.int64)
+        #: Flip watch of tenant-spilled rows, key -> (flip_dir,
+        #: flip_onset), re-seeded when the key is interned again.
+        self._parked_flips: dict[int, tuple[int, int]] = {}
         #: Fast-path engagement counters (see ``stats()``).
         self.rows_fast = 0
         self.rows_single = 0
@@ -153,20 +171,12 @@ class ColumnarBank:
         if cap == self._cap:
             return
         n = self.n_rows
-        for name in _I64_COLS:
-            new = np.zeros(cap, dtype=np.int64)
-            if n:
-                new[:n] = getattr(self, name)[:n]
-            setattr(self, name, new)
-        new_state = np.zeros(cap, dtype=np.int8)
-        if n:
-            new_state[:n] = self.state[:n]
-        self.state = new_state
-        for name in _BOOL_COLS:
-            new = np.zeros(cap, dtype=bool)
-            if n:
-                new[:n] = getattr(self, name)[:n]
-            setattr(self, name, new)
+        for names, dtype in _COLS:
+            for name in names:
+                new = np.zeros(cap, dtype=dtype)
+                if n:
+                    new[:n] = getattr(self, name)[:n]
+                setattr(self, name, new)
         self._cap = cap
 
     def __len__(self) -> int:
@@ -239,9 +249,10 @@ class ColumnarBank:
         self.state[rows] = _MONITOR
         self.next_fire[rows] = self.config.monitor_period
         self.land[rows] = _NEVER
+        self.flip_onset[rows] = -1
         for name in ("exec", "counter", "mon_taken", "mon_samples",
                      "win_pos", "win_correct", "bias_entries", "correct",
-                     "incorrect"):
+                     "incorrect", "flip_dir"):
             getattr(self, name)[rows] = 0
         for name in _BOOL_COLS:
             getattr(self, name)[rows] = False
@@ -249,7 +260,11 @@ class ColumnarBank:
         decisions = self._decisions
         tenant_index = self._tenant_index
         config = self.config
+        parked = self._parked_flips
         for offset, pc in enumerate(new_pcs.tolist()):
+            if parked and pc in parked:
+                row = base + offset
+                self.flip_dir[row], self.flip_onset[row] = parked.pop(pc)
             ctrl = controllers.get(pc)
             if ctrl is None:
                 # Eager shell: bank iteration/len/snapshot see the
@@ -339,7 +354,7 @@ class ColumnarBank:
         mints a fresh row seeded from the restored scalar controller.
         Tombstones are compacted away once they outnumber live rows,
         keeping resident memory proportional to the *resident* working
-        set.
+        set.  Watched rows park their flip watch until re-intern.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if not keys.size or not self._keys.size:
@@ -355,6 +370,12 @@ class ColumnarBank:
         dirty = self.dirty[rows]
         for row, key in zip(rows[dirty].tolist(), keys[hit][dirty].tolist()):
             self._flush_row(row, controllers[key])
+        watched = (self.flip_dir[rows] != _WATCH_OFF) | (
+            self.flip_onset[rows] >= 0)
+        for row, key in zip(rows[watched].tolist(),
+                            keys[hit][watched].tolist()):
+            self._parked_flips[key] = (int(self.flip_dir[row]),
+                                       int(self.flip_onset[row]))
         self.dead[rows] = True
         self.dirty[rows] = False
         self.n_dead += int(rows.size)
@@ -370,13 +391,10 @@ class ColumnarBank:
         n = self.n_rows
         alive = np.flatnonzero(~self.dead[:n])
         m = int(alive.size)
-        for name in _I64_COLS:
-            col = getattr(self, name)
-            col[:m] = col[alive]
-        self.state[:m] = self.state[alive]
-        for name in _BOOL_COLS:
-            col = getattr(self, name)
-            col[:m] = col[alive]
+        for names, _ in _COLS:
+            for name in names:
+                col = getattr(self, name)
+                col[:m] = col[alive]
         self.n_rows = m
         self.n_dead = 0
         self._rebuild_index()
@@ -534,17 +552,82 @@ class ColumnarBank:
                 fired.append((pc, _CODE_EVICT, e, ins))
         self.arcs_fast += int(erows.size)
 
+    # -- flip watch ------------------------------------------------------
+    def _watch_flips(self, rows: np.ndarray, taken: np.ndarray,
+                     starts: np.ndarray, ends: np.ndarray,
+                     tc: np.ndarray | None) -> None:
+        """Pre-pass: find the flip onset of this batch's watched rows.
+
+        Runs before any advance, so ``exec`` is each row's execution
+        index at its segment start.  A row selected in an earlier batch
+        (code 3) takes its trained direction from the segment's taken
+        majority, ties counting as taken: a trained biased branch's
+        first post-select outcomes are its bias.  A segment holding an
+        outcome against the trained direction sets ``flip_onset`` to
+        that outcome's execution index and stops watching the row.
+        ``tc`` is the batch's exclusive taken prefix sum (built here
+        when None).
+        """
+        code = self.flip_dir[rows]
+        w = np.flatnonzero(code)
+        if not w.size:
+            return
+        if tc is None:
+            tc = np.zeros(len(taken) + 1, dtype=np.int64)
+            np.cumsum(taken, out=tc[1:])
+        s = starts[w]
+        n = ends[w] - s
+        n_taken = tc[s + n] - tc[s]
+        code = code[w]
+        unseen = code == _WATCH_UNSEEN
+        if unseen.any():
+            code[unseen] = np.where(2 * n_taken[unseen] >= n[unseen],
+                                    _WATCH_TAKEN, _WATCH_NOT_TAKEN)
+            self.flip_dir[rows[w]] = code
+        trained = code == _WATCH_TAKEN
+        hit = np.flatnonzero(np.where(trained, n - n_taken, n_taken))
+        for j in hit.tolist():
+            row = int(rows[w[j]])
+            lo = int(s[j])
+            off = int(np.argmax(taken[lo:lo + int(n[j])] != trained[j]))
+            self.flip_onset[row] = self.exec[row] + off
+            self.flip_dir[row] = _WATCH_OFF
+
+    def _close_flips(self, fired: list[tuple[int, int, int, int]],
+                     ) -> list[tuple[int, int]]:
+        """Post-pass over the batch's captured arcs, in order: SELECT
+        starts watching a row, EVICT stops and yields ``(pc,
+        time_to_evict)`` when a flip onset was seen."""
+        tte = []
+        for pc, code, exec_index, _ in fired:
+            if code != _CODE_SELECT and code != _CODE_EVICT:
+                continue
+            row = self._row_of(pc)
+            if code == _CODE_EVICT:
+                onset = int(self.flip_onset[row])
+                if onset >= 0:
+                    tte.append((pc, exec_index - onset))
+                self.flip_dir[row] = _WATCH_OFF
+            else:
+                self.flip_dir[row] = _WATCH_UNSEEN
+            self.flip_onset[row] = -1
+        return tte
+
     def apply_sorted(self, pcs: np.ndarray, taken: np.ndarray,
                      instrs: np.ndarray, starts: np.ndarray,
                      ends: np.ndarray, capture: bool,
                      ) -> tuple[int, int, list[int],
-                                list[tuple[int, int, int, int]]]:
+                                list[tuple[int, int, int, int]],
+                                list[tuple[int, int]]]:
         """Apply a PC-sorted batch; returns (correct, incorrect,
-        changed_pcs, captured_transitions).
+        changed_pcs, captured_transitions, time_to_evict).
 
         ``starts``/``ends`` bound the per-PC segments (program order
-        preserved within each).  Must not be called with an empty
-        batch.
+        preserved within each).  With ``capture`` on, the flip watch
+        runs around the batch and ``time_to_evict`` lists ``(pc,
+        executions from first flipped outcome to EVICT)`` per EVICT
+        arc that closed a watched row with an onset.  Must not be
+        called with an empty batch.
         """
         if len(starts) == 1:
             # Single-branch batch: there is nothing for the cross-
@@ -555,13 +638,17 @@ class ColumnarBank:
             row = self._row_of(pc)
             if row is None:
                 row = int(self._intern(pcs[:1].astype(np.int64))[0])
+            if capture and self.flip_dir[row]:
+                self._watch_flips(np.array([row]), taken, starts, ends,
+                                  None)
             changed: list[int] = []
             fired: list[tuple[int, int, int, int]] = []
             c, x = self._fallback_segment(row, taken, instrs, capture,
                                           changed, fired)
             self.rows_single += 1
             self.events_single += len(taken)
-            return c, x, changed, fired
+            return (c, x, changed, fired,
+                    self._close_flips(fired) if capture else [])
         cfg = self.config
         rows = self._intern(pcs[starts].astype(np.int64))
         nseg = len(rows)
@@ -576,6 +663,8 @@ class ColumnarBank:
         tc = np.empty(n + 1, dtype=np.int64)
         tc[0] = 0
         np.cumsum(taken, out=tc[1:])
+        if capture:
+            self._watch_flips(rows, taken, starts, ends, tc)
         cur = starts.astype(np.int64)
         seg_end = ends.astype(np.int64)
         seg_last = instrs[ends - 1]
@@ -844,4 +933,5 @@ class ColumnarBank:
             for pc, v in zip(flip_pcs, fin[flips].tolist()):
                 decisions[pc] = v
             changed.extend(flip_pcs)
-        return correct_delta, incorrect_delta, changed, fired
+        return (correct_delta, incorrect_delta, changed, fired,
+                self._close_flips(fired) if capture else [])

@@ -63,6 +63,10 @@ from repro.tenant.manager import TenantManager
 __all__ = ["ServiceConfig", "BackpressureError", "QuotaExceededError",
            "SequenceError", "SpeculationService"]
 
+_STALE = ("live shard state was lost when the service stopped (worker "
+          "processes stopped without draining, or spilled tenants "
+          "released with the spill store)")
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -380,9 +384,8 @@ class SpeculationService:
             return
         if self._bank_stale:
             raise RuntimeError(
-                "cannot restart: live shard state was lost when worker "
-                "processes were stopped without draining; restore a "
-                "snapshot instead")
+                "cannot restart: " + _STALE + "; restore a snapshot "
+                "instead")
         self._running = True
         if self.service_config.obs:
             for shard in self.bank.shards:
@@ -453,6 +456,12 @@ class SpeculationService:
                 self._bank_stale = False
             else:
                 self._bank_stale = True
+        if self._tenants is not None:
+            # Spilled tenants live only in the spill store, which the
+            # close releases (a temporary spill directory is deleted).
+            if self._tenants.spilled_count():
+                self._bank_stale = True
+            self._tenants.close()
 
     async def __aenter__(self) -> "SpeculationService":
         await self.start()
@@ -700,11 +709,7 @@ class SpeculationService:
                             t_now=t_ret)
                 det = self.detector
                 if det is not None:
-                    # Outcomes first, transitions second (via the trace
-                    # listener below): the flip detector must see each
-                    # batch's outcomes against the deployed set as it
-                    # stood *before* the batch's arcs fired.
-                    det.observe_batch(pcs, taken)
+                    det.observe_batch(result.tte)
                     det.observe_apply(events, result.correct,
                                       result.incorrect, int(instrs[0]),
                                       int(instrs[-1]))
@@ -892,9 +897,7 @@ class SpeculationService:
         from repro.serve.snapshot import save_snapshot
 
         if self._bank_stale and self._pool is None:
-            raise RuntimeError(
-                "cannot snapshot: live shard state was lost when worker "
-                "processes were stopped without draining")
+            raise RuntimeError("cannot snapshot: " + _STALE)
         self._quiescing = True
         try:
             await self.drain()

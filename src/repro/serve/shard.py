@@ -107,6 +107,11 @@ class ShardApplyResult:
     col_fast: int = 0
     col_fallback: int = 0
     col_single: int = 0
+    #: ``(pc, time_to_evict)`` per EVICT arc that closed a flip watch:
+    #: the branch's executions from its first outcome against the
+    #: trained direction to the EVICT (capture on; see
+    #: :meth:`~repro.serve.colpath.ColumnarBank._watch_flips`).
+    tte: tuple[tuple[int, int], ...] = ()
 
 
 class BankShard:
@@ -135,9 +140,10 @@ class BankShard:
         self.last_instr = 0
         self.correct = 0
         self.incorrect = 0
-        #: When True, :meth:`apply` times itself and collects the FSM
-        #: arc firings of the batch into the result (read-only
-        #: observation — controller state is bit-identical either way).
+        #: When True, :meth:`apply` times itself, collects the FSM arc
+        #: firings of the batch and runs the flip watch that yields
+        #: ``tte`` (read-only observation — controller state is
+        #: bit-identical either way).
         self.capture = False
         #: The columnar engine (:mod:`repro.serve.colpath`), built on
         #: the first batch and dropped by :meth:`release_controllers`.
@@ -179,7 +185,7 @@ class BankShard:
                                           self.decisions,
                                           tenant_index=self.tenant_keys)
         f0, s0 = col.events_fast, col.events_single
-        correct, incorrect, changed, fired = col.apply_sorted(
+        correct, incorrect, changed, fired, tte = col.apply_sorted(
             sorted_pcs, sorted_taken, sorted_instrs, starts, ends, capture)
         self.events_applied += n
         self.last_instr = max(self.last_instr, int(instrs[-1]))
@@ -192,7 +198,7 @@ class BankShard:
             last_instr=self.last_instr, transitions=tuple(fired),
             apply_seconds=perf_counter() - t0 if capture else 0.0,
             col_fast=col.events_fast - f0,
-            col_single=col.events_single - s0)
+            col_single=col.events_single - s0, tte=tuple(tte))
 
     def absorb(self, result: ShardApplyResult) -> None:
         """Mirror a result computed elsewhere (a worker process).

@@ -27,13 +27,14 @@ Frame catalogue (body layouts, all little-endian)::
     APPLY_RESULT uint64 ticket | uint32 events
                  | uint64 correct | uint64 incorrect
                  | int64 last_instr | uint32 n_changed
-                 | uint32 n_trans | uint64 col_fast
+                 | uint32 n_trans | uint32 n_tte | uint64 col_fast
                  | uint64 col_fallback | uint64 col_single
                  | float64 apply_seconds
                  | float64 t_recv | float64 t_done
                  | int64 key[n_changed] | uint8 deployed[n_changed]
                  | int64 trans_key[n_trans] | uint8 trans_arc[n_trans]
                  | int64 trans_exec[n_trans] | int64 trans_instr[n_trans]
+                 | n_tte x (int64 key | int64 tte)
                                                         worker → parent
     BARRIER      uint64 ticket                          parent → worker
     BARRIER_ACK  uint64 ticket                          worker → parent
@@ -106,7 +107,7 @@ TRESTORE_ACK = 0x0F
 _HELLO = struct.Struct("<BHI")
 _APPLY = struct.Struct("<BQI")
 _TAPPLY = struct.Struct("<BQI")
-_RESULT = struct.Struct("<BQIQQqIIQQQddd")
+_RESULT = struct.Struct("<BQIQQqIIIQQQddd")
 _BARRIER = struct.Struct("<BQ")
 _LOAD = struct.Struct("<BI")
 _TSPILL = struct.Struct("<BQI")
@@ -211,7 +212,7 @@ def encode_apply_result(ticket: int, events: int, correct: int,
                         transitions=(), apply_seconds: float = 0.0,
                         t_recv: float = 0.0, t_done: float = 0.0,
                         col_fast: int = 0, col_fallback: int = 0,
-                        col_single: int = 0) -> bytes:
+                        col_single: int = 0, tte=()) -> bytes:
     """``transitions`` piggybacks the worker's FSM arc firings —
     ``(pc, arc_code, exec_index, instr)`` tuples — and
     ``apply_seconds`` its measured apply latency, so observability
@@ -220,11 +221,12 @@ def encode_apply_result(ticket: int, events: int, correct: int,
     frame receipt and apply completion (system-wide on Linux, so they
     compare against parent-side stamps); 0.0 when capture is off.
     ``col_fast``/``col_fallback``/``col_single`` report how the
-    columnar engine routed the batch's events."""
+    columnar engine routed the batch's events, and ``tte`` the
+    shard's ``(pc, time_to_evict)`` samples."""
     pcs = np.asarray(changed_pcs, dtype=np.int64)
     dep = np.asarray(changed_deployed, dtype=np.uint8)
     head = _RESULT.pack(APPLY_RESULT, ticket, events, correct, incorrect,
-                        last_instr, len(pcs), len(transitions),
+                        last_instr, len(pcs), len(transitions), len(tte),
                         col_fast, col_fallback, col_single,
                         apply_seconds, t_recv, t_done)
     body = head + pcs.tobytes() + dep.tobytes()
@@ -239,19 +241,21 @@ def encode_apply_result(ticket: int, events: int, correct: int,
                               count=len(transitions))
         body += (t_pc.tobytes() + t_arc.tobytes() + t_exec.tobytes()
                  + t_instr.tobytes())
+    if tte:
+        body += np.asarray(tte, dtype=np.int64).tobytes()
     return body
 
 
 def decode_apply_result(payload: bytes) -> tuple:
     """Returns ``(ticket, events, correct, incorrect, last_instr,
     changed_pcs, changed_deployed, transitions, apply_seconds,
-    t_recv, t_done, col_fast, col_fallback, col_single)``."""
+    t_recv, t_done, col_fast, col_fallback, col_single, tte)``."""
     _expect(payload, APPLY_RESULT, "APPLY_RESULT", min_len=_RESULT.size)
     (_, ticket, events, correct, incorrect, last_instr, n_changed,
-     n_trans, col_fast, col_fallback, col_single, apply_seconds,
+     n_trans, n_tte, col_fast, col_fallback, col_single, apply_seconds,
      t_recv, t_done) = _RESULT.unpack_from(payload)
     off = _RESULT.size
-    if len(payload) != off + 9 * n_changed + 25 * n_trans:
+    if len(payload) != off + 9 * n_changed + 25 * n_trans + 16 * n_tte:
         raise ProtocolError("APPLY_RESULT frame length mismatch")
     pcs = np.frombuffer(payload, dtype=np.int64, count=n_changed,
                         offset=off)
@@ -271,10 +275,13 @@ def decode_apply_result(payload: bytes) -> tuple:
         transitions = tuple(
             (int(a), int(b), int(c), int(d))
             for a, b, c, d in zip(t_pc, t_arc, t_exec, t_instr))
+    tte = np.frombuffer(payload, dtype=np.int64, count=2 * n_tte,
+                        offset=off + 9 * n_changed + 25 * n_trans)
     return (ticket, events, correct, incorrect, last_instr,
             tuple(int(p) for p in pcs), tuple(bool(d) for d in dep),
             transitions, float(apply_seconds), float(t_recv),
-            float(t_done), col_fast, col_fallback, col_single)
+            float(t_done), col_fast, col_fallback, col_single,
+            tuple(zip(tte[0::2].tolist(), tte[1::2].tolist())))
 
 
 # -- tenant frames ----------------------------------------------------------

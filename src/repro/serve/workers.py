@@ -159,7 +159,8 @@ def worker_main(index: int, config_dict: dict, endpoint, kind: str,
                     ticket, res.events, res.correct, res.incorrect,
                     res.last_instr, res.changed, res.changed_deployed,
                     res.transitions, res.apply_seconds, t_recv, t_done,
-                    res.col_fast, res.col_fallback, res.col_single))
+                    res.col_fast, res.col_fallback, res.col_single,
+                    res.tte))
             elif ftype == wire.TSPILL:
                 ticket, tenants = wire.decode_tspill(payload)
                 transport.send(wire.encode_tspill_result(
@@ -228,7 +229,7 @@ class _WorkerHandle:
             (ticket, events, correct, incorrect, last_instr,
              changed, deployed, transitions, apply_seconds,
              t_recv, t_done, col_fast, col_fallback,
-             col_single) = wire.decode_apply_result(payload)
+             col_single, tte) = wire.decode_apply_result(payload)
             fut = self.pending.pop(ticket, None)
             if fut is not None and not fut.done():
                 fut.set_result(ShardApplyResult(
@@ -237,7 +238,8 @@ class _WorkerHandle:
                     changed_deployed=deployed, last_instr=last_instr,
                     transitions=transitions, apply_seconds=apply_seconds,
                     t_recv=t_recv, t_done=t_done, col_fast=col_fast,
-                    col_fallback=col_fallback, col_single=col_single))
+                    col_fallback=col_fallback, col_single=col_single,
+                    tte=tte))
         elif ftype == wire.BARRIER_ACK:
             fut = self.pending.pop(wire.decode_barrier(payload), None)
             if fut is not None and not fut.done():

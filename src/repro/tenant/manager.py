@@ -187,11 +187,18 @@ class TenantManager:
                 or bool(self._store and len(self._store)))
 
     def close(self) -> None:
+        """Release the spill store (idempotent).
+
+        A temporary spill directory is deleted with any tenant still
+        spilled in it; a later spill opens a fresh store.
+        """
         if self._store is not None:
             self._store.close()
+            self._store = None
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
+            self._spill_dir = None
 
     # -- admission ------------------------------------------------------
     def plan(self, batch, now: float) -> AdmissionPlan:

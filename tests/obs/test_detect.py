@@ -9,11 +9,26 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.config import ControllerConfig
 from repro.obs.detect import DetectorConfig, MisspecDetector
 from repro.obs.tracing import ARC_CODE
 from repro.serve.client import feed_trace
-from repro.serve.service import ServiceConfig, SpeculationService
-from repro.trace.synthetic import train_then_flip_trace
+from repro.serve.events import EventBatch
+from repro.serve.service import (
+    BackpressureError,
+    ServiceConfig,
+    SpeculationService,
+)
+from repro.serve.shard import BankShard
+from repro.serve.snapshot import load_snapshot
+from repro.serve.workers import WorkerPool
+from repro.trace.spec2000 import load_trace
+from repro.trace.synthetic import (
+    slow_poison_trace,
+    train_then_flip_trace,
+    with_tenants,
+)
+from repro.wal.recovery import recover_service
 
 SEL = ARC_CODE["select"]
 EV = ARC_CODE["evict"]
@@ -48,85 +63,106 @@ class TestDetectorConfig:
             DetectorConfig(**kwargs)
 
 
+def _shard(config):
+    shard = BankShard(0, config)
+    shard.capture = True
+    return shard
+
+
+def _apply(shard, keys, outcomes):
+    """Apply one program-order batch; returns its ``tte`` samples."""
+    n = len(keys)
+    instrs = shard.last_instr + 8 * np.arange(1, n + 1, dtype=np.int64)
+    return shard.apply(np.asarray(keys, dtype=np.int64),
+                       np.asarray(outcomes, dtype=bool), instrs).tte
+
+
 class TestFlipTracking:
+    """The shard's flip watch, hand-traced: monitor 4 executions (SELECT
+    fires on exec 3), deployment lands before the next event, and the
+    eviction walk (+40 per miss, -1 per hit) evicts at 100."""
+
+    CFG = ControllerConfig(monitor_period=4, selection_threshold=0.75,
+                           evict_counter_max=100, misspec_increment=40,
+                           correct_decrement=1, revisit_period=6,
+                           oscillation_limit=3, optimization_latency=0)
+
     def test_dense_onset_and_time_to_evict(self):
-        det = MisspecDetector()
-        det.observe_batch(np.full(10, 5), _ones(10))      # execs 0..9
-        det.observe_transitions([(5, SEL, 9, 80)])
-        det.observe_batch(np.full(6, 5), _ones(6))        # 10..15: trained taken
-        det.observe_batch(
-            np.full(4, 5),
-            np.array([True, False, False, False]))        # 16..19: onset 17
-        det.observe_transitions([(5, EV, 19, 200)])
-        assert det.time_to_evict() == {5: 2}
+        shard = _shard(self.CFG)
+        assert _apply(shard, [5] * 4, _ones(4)) == ()     # SELECT @3
+        assert _apply(shard, [5] * 6, _ones(6)) == ()     # 4..9: taken
+        # 10..14: T F T F F -> onset 11, EVICT on exec 14.
+        assert _apply(shard, [5] * 5, [1, 0, 1, 0, 0]) == ((5, 3),)
 
     def test_trained_not_taken_flips_on_taken(self):
-        det = MisspecDetector()
-        det.observe_transitions([(7, SEL, 0, 0)])
-        det.observe_batch(np.full(8, 7), _zeros(8))       # 0..7: not-taken
-        det.observe_batch(
-            np.full(3, 7),
-            np.array([False, True, True]))                # onset exec 9
-        det.observe_transitions([(7, EV, 14, 0)])
-        assert det.time_to_evict() == {7: 5}
+        shard = _shard(self.CFG)
+        _apply(shard, [7] * 4, _zeros(4))
+        _apply(shard, [7] * 8, _zeros(8))                 # 4..11
+        # 12..15: F T T T -> onset 13, EVICT on exec 15.
+        assert _apply(shard, [7] * 4, [0, 1, 1, 1]) == ((7, 2),)
 
     def test_onset_in_direction_establishing_batch(self):
         # The first post-select batch both fixes the trained direction
         # (by majority) and is scanned for flips against it.
-        det = MisspecDetector()
-        det.observe_transitions([(2, SEL, 0, 0)])
-        outcomes = np.array([False] * 6 + [True] * 2)     # onset exec 6
-        det.observe_batch(np.full(8, 2), outcomes)
-        det.observe_transitions([(2, EV, 10, 0)])
-        assert det.time_to_evict() == {2: 4}
+        shard = _shard(self.CFG)
+        _apply(shard, [2] * 4, _zeros(4))
+        # 4..11: five F then three T -> onset 9, EVICT on exec 11.
+        assert _apply(shard, [2] * 8, [0] * 5 + [1] * 3) == ((2, 2),)
 
     def test_interleaved_pcs_count_in_own_exec_timebase(self):
-        det = MisspecDetector()
-        det.observe_transitions([(5, SEL, 0, 0)])
-        det.observe_batch(np.array([5, 9, 5]), _ones(3))  # pc5 execs 0..1
-        # pc5 outcomes T, F, F at batch positions 1, 3, 5 → its execs
-        # 2, 3, 4; the first flip is exec 3 regardless of pc9 noise.
-        det.observe_batch(
-            np.array([9, 5, 9, 5, 9, 5]),
-            np.array([True, True, False, False, True, False]))
-        det.observe_transitions([(5, EV, 6, 0)])
-        assert det.time_to_evict() == {5: 3}
+        shard = _shard(self.CFG)
+        _apply(shard, [5, 9] * 4, _ones(8))               # both SELECT @3
+        _apply(shard, [5, 9, 5, 9], _ones(4))             # 4..5: taken
+        # pc5 sits at batch positions 1, 3, 5, 7 -> its execs 6..9
+        # (T F F F): onset 7, EVICT on exec 9, whatever pc9 does.
+        tte = _apply(shard, [9, 5, 9, 5, 9, 5, 9, 5],
+                     [1, 1, 0, 0, 1, 0, 1, 0])
+        assert tte == ((5, 2),)
 
     def test_evict_without_flip_records_nothing(self):
-        det = MisspecDetector()
-        det.observe_transitions([(4, SEL, 0, 0)])
-        det.observe_batch(np.full(16, 4), _ones(16))
-        det.observe_transitions([(4, EV, 15, 0)])
-        assert det.time_to_evict() == {}
-
-    def test_dense_to_sparse_migration_preserves_flip_state(self):
-        det = MisspecDetector()
-        det.observe_batch(np.full(8, 3), _ones(8))        # execs 0..7
-        det.observe_transitions([(3, SEL, 7, 0)])
-        det.observe_batch(np.full(4, 3), _ones(4))        # 8..11: taken
-        # A packed (tenant << 32) | pc key forces the sparse counters;
-        # pc 3's trained direction and exec count must survive.
-        big = (7 << 32) | 3
-        det.observe_batch(np.full(5, big), _ones(5))
-        det.observe_batch(np.full(2, 3), _zeros(2))       # onset exec 12
-        det.observe_transitions([(3, EV, 15, 0)])
-        assert det.time_to_evict() == {3: 3}
+        # SELECT and EVICT in one batch: outcomes of the SELECT batch
+        # are not flip-checked, so the EVICT closes a watch that never
+        # saw an onset.
+        shard = _shard(self.CFG)
+        assert _apply(shard, [4] * 10, [1] * 4 + [0] * 6) == ()
 
     def test_sparse_keys_tracked_from_the_start(self):
-        det = MisspecDetector()
+        # A packed (tenant << 32) | pc key is just another row.
+        shard = _shard(self.CFG)
         big = (9 << 32) | 42
-        det.observe_transitions([(big, SEL, 0, 0)])
-        det.observe_batch(np.full(6, big), _ones(6))      # 0..5: taken
-        det.observe_batch(np.full(2, big),
-                          np.array([False, False]))       # onset exec 6
-        det.observe_transitions([(big, EV, 9, 0)])
-        assert det.time_to_evict() == {big: 3}
+        _apply(shard, [big] * 4, _ones(4))
+        _apply(shard, [big] * 6, _ones(6))                # 4..9: taken
+        assert _apply(shard, [big] * 3, _zeros(3)) == ((big, 2),)
+
+    def test_watch_survives_tenant_spill(self):
+        shard = _shard(self.CFG)
+        key = (3 << 32) | 5
+        _apply(shard, [key] * 4, _ones(4))                # SELECT @3
+        _apply(shard, [key, 7], _ones(2))                 # exec 4: taken
+        shard.restore_tenant(shard.spill_tenant([3]))
+        # execs 5..7 all F: onset 5, EVICT on exec 7.
+        assert _apply(shard, [key, 7, key, key],
+                      [0, 1, 0, 0]) == ((key, 2),)
+
+    def test_capture_off_watches_nothing(self):
+        shard = _shard(self.CFG)
+        shard.capture = False
+        _apply(shard, [5] * 4, _ones(4))
+        _apply(shard, [5] * 6, _ones(6))
+        assert _apply(shard, [5] * 5, [1, 0, 1, 0, 0]) == ()
 
     def test_empty_batch_is_a_noop(self):
+        assert _apply(_shard(self.CFG), [], []) == ()
         det = MisspecDetector()
-        det.observe_batch(np.array([], dtype=np.int64),
-                          np.array([], dtype=bool))
-        assert det.health_doc()["events_observed"] == 0
+        det.observe_batch(())
+        doc = det.health_doc()
+        assert doc["events_observed"] == 0
+        assert doc["time_to_evict"]["count"] == 0
+
+    def test_negative_samples_are_dropped(self):
+        det = MisspecDetector()
+        det.observe_batch(((1, 4), (2, -1)))
+        assert det.time_to_evict() == {1: 4}
 
 
 class TestVerdicts:
@@ -236,3 +272,208 @@ def test_train_then_flip_acceptance(bench_config):
     assert doc["time_to_evict"]["count"] == 8
     assert doc["time_to_evict"]["mean"] == pytest.approx(
         sum(truth.values()) / 8)
+
+
+# -- restore --------------------------------------------------------------
+@pytest.mark.parametrize("restore", ["load_snapshot", "recover_service"])
+def test_time_to_evict_exact_after_restore(restore, tmp_path, bench_config):
+    """The flip watch reads the bank's absolute ``exec`` column, so a
+    PC selected after a restore reports the arc-truth time-to-evict
+    (a detector-side copy of the counts would restart at zero and
+    report ``tte + events before the snapshot``)."""
+    flip_at = 4096
+    trace = train_then_flip_trace(n_branches=8, flip_at=flip_at, seed=0)
+    snap = tmp_path / "snap.json.gz"
+    wal_dir = tmp_path / "wal"
+
+    async def first():
+        scfg = ServiceConfig(n_shards=2, wal_dir=str(wal_dir))
+        async with SpeculationService(bench_config, scfg) as svc:
+            await feed_trace(svc, trace, batch_events=400, max_events=800)
+            await svc.snapshot(snap)
+
+    async def rest(svc):
+        async with svc:
+            await feed_trace(svc, trace, batch_events=400)
+            await svc.drain()
+            truth = {r.pc: r.exec_index - flip_at
+                     for r in svc.trace.records() if r.arc == "evict"}
+            return svc.detector.time_to_evict(), truth
+
+    asyncio.run(first())
+    if restore == "load_snapshot":
+        svc = load_snapshot(snap)
+    else:
+        svc, _ = recover_service(wal_dir, snapshot=snap, attach_wal=False)
+    tte, truth = asyncio.run(rest(svc))
+    assert set(truth) == set(range(8))
+    assert tte == truth
+
+
+# -- parity with the detector-side flip tracker ----------------------------
+class _ReferenceFlipTracker:
+    """The flip tracker ``MisspecDetector`` ran in the parent process
+    before flip onsets moved into the shard, kept as the parity
+    reference: its general sorted-merge path (its dense path, used
+    while every key stayed small, computed the same values).  It is fed
+    each apply's raw ``(keys, outcomes)`` before the apply's arcs."""
+
+    def __init__(self) -> None:
+        self._pcs = np.empty(0, dtype=np.int64)
+        self._counts = np.empty(0, dtype=np.int64)
+        #: pc -> [trained direction or None, onset exec or None]
+        self._deployed: dict[int, list] = {}
+        self.tte: dict[int, int] = {}
+        self.count = 0
+        self.total = 0
+
+    def _exec_base(self, pc: int) -> int:
+        idx = int(np.searchsorted(self._pcs, pc))
+        if idx < len(self._pcs) and int(self._pcs[idx]) == pc:
+            return int(self._counts[idx])
+        return 0
+
+    def observe_batch(self, keys, taken) -> None:
+        keys = np.asarray(keys, dtype=np.int64)
+        taken = np.asarray(taken, dtype=bool)
+        if not len(keys):
+            return
+        if self._deployed:
+            idx = np.flatnonzero(np.isin(keys, list(self._deployed)))
+            sub_keys = keys[idx]
+            order = np.argsort(sub_keys, kind="stable")
+            sub_keys = sub_keys[order]
+            sub_taken = taken[idx[order]]
+            bounds = np.flatnonzero(np.diff(sub_keys)) + 1
+            starts = np.concatenate(([0], bounds))
+            ends = np.concatenate((bounds, [len(sub_keys)]))
+            for s, e in zip(starts.tolist(), ends.tolist()):
+                if s == e:
+                    continue
+                pc = int(sub_keys[s])
+                state = self._deployed[pc]
+                outs = sub_taken[s:e]
+                if state[0] is None:
+                    state[0] = bool(np.count_nonzero(outs) * 2 >= len(outs))
+                if state[1] is None:
+                    flipped = outs != state[0]
+                    if flipped.any():
+                        state[1] = (self._exec_base(pc)
+                                    + int(np.argmax(flipped)))
+        uniq, counts = np.unique(keys, return_counts=True)
+        merged = np.union1d(self._pcs, uniq)
+        new_counts = np.zeros(len(merged), dtype=np.int64)
+        new_counts[np.searchsorted(merged, self._pcs)] = self._counts
+        new_counts[np.searchsorted(merged, uniq)] += counts
+        self._pcs = merged
+        self._counts = new_counts
+
+    def observe_transitions(self, transitions) -> None:
+        for pc, arc, exec_index, _ in transitions:
+            if arc == SEL:
+                self._deployed[int(pc)] = [None, None]
+            elif arc == EV:
+                state = self._deployed.pop(int(pc), None)
+                if state is None or state[1] is None:
+                    continue
+                tte = int(exec_index) - state[1]
+                if tte < 0:
+                    continue
+                if len(self.tte) >= 1024 and pc not in self.tte:
+                    self.tte.pop(next(iter(self.tte)))
+                self.tte[int(pc)] = tte
+                self.count += 1
+                self.total += tte
+
+    def doc(self) -> dict:
+        return {"count": self.count,
+                "mean": (round(self.total / self.count, 3)
+                         if self.count else 0.0),
+                "last": {str(pc): t for pc, t in self.tte.items()}}
+
+
+_PARITY_TRACES = {
+    "train-then-flip": lambda: train_then_flip_trace(
+        n_branches=16, flip_at=2048, seed=1),
+    # Softened past the eviction break-even so the EVICT arc fires
+    # after a noisy onset.
+    "slow-poison": lambda: slow_poison_trace(
+        n_branches=8, train_for=2048, margin=1.5, seed=1),
+    "gcc": lambda: load_trace("gcc", length=200_000),
+    # 32 tenant keys under a budget of 8 branches: tenants spill and
+    # restore between their SELECT, flip onset and EVICT.
+    "tenant-spill": lambda: with_tenants(
+        train_then_flip_trace(n_branches=8, flip_at=4096, seed=3),
+        4, "uniform", seed=3),
+}
+
+
+def _random_batches(trace, seed):
+    rng = np.random.default_rng(seed)
+    n = len(trace)
+    cuts = np.cumsum(rng.integers(1, 3000, size=n // 1000 + 2))
+    cuts = np.concatenate(([0], cuts[cuts < n], [n]))
+    tenants = trace.tenants
+    return [EventBatch(seq=i, pcs=trace.branch_ids[lo:hi],
+                       taken=trace.taken[lo:hi], instrs=trace.instrs[lo:hi],
+                       tenants=None if tenants is None else tenants[lo:hi])
+            for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))]
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["in-process", "workers2"])
+@pytest.mark.parametrize("name", list(_PARITY_TRACES))
+def test_time_to_evict_matches_detector_side_tracker(name, workers,
+                                                     bench_config,
+                                                     monkeypatch):
+    """On fresh services, the shard-side watch reproduces the old
+    detector-side tracker exactly: same samples, count, mean and
+    ``last`` order, over random batch splits, in-process and over a
+    pipe to worker processes, including a tenant-keyed trace whose
+    tenants spill and restore mid-watch."""
+    ref = _ReferenceFlipTracker()
+    if workers:
+        pool_apply = WorkerPool.apply
+
+        async def tee_pool(self, shard, pcs, taken, instrs):
+            result = await pool_apply(self, shard, pcs, taken, instrs)
+            ref.observe_batch(pcs, taken)
+            ref.observe_transitions(result.transitions)
+            return result
+
+        monkeypatch.setattr(WorkerPool, "apply", tee_pool)
+    else:
+        shard_apply = BankShard.apply
+
+        def tee_shard(self, pcs, taken, instrs):
+            result = shard_apply(self, pcs, taken, instrs)
+            ref.observe_batch(pcs, taken)
+            ref.observe_transitions(result.transitions)
+            return result
+
+        monkeypatch.setattr(BankShard, "apply", tee_shard)
+    spill = name == "tenant-spill"
+    scfg = ServiceConfig(n_shards=2, workers=workers,
+                         tenant_resident_bytes=8 * 512 if spill else None,
+                         tenant_bytes_per_branch=512)
+    batches = _random_batches(_PARITY_TRACES[name](), seed=len(name))
+
+    async def run():
+        async with SpeculationService(bench_config, scfg) as svc:
+            for batch in batches:
+                while True:
+                    try:
+                        svc.submit_nowait(batch)
+                        break
+                    except BackpressureError:
+                        await svc.drain()
+            await svc.drain()
+            return (svc.detector.health_doc()["time_to_evict"],
+                    svc.tenant_stats())
+
+    doc, tenant_stats = asyncio.run(run())
+    want = ref.doc()
+    assert want["count"] > 0
+    assert doc == want
+    assert list(doc["last"]) == list(want["last"])
+    if spill:
+        assert tenant_stats["spills"] > 0 and tenant_stats["restores"] > 0

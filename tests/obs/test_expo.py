@@ -80,8 +80,6 @@ def test_span_and_health_families_roundtrip():
     """The families the span recorder and misspeculation detector
     register survive a render → parse round-trip with their labelled
     series intact."""
-    import numpy as np
-
     from repro.obs.detect import DetectorConfig, MisspecDetector
     from repro.obs.spans import SpanRecorder
     from repro.obs.tracing import ARC_CODE
@@ -96,8 +94,7 @@ def test_span_and_health_families_roundtrip():
                           registry=r)
     det.observe_apply(50, 10, 40, 0, 400)             # burst by rate
     det.observe_transitions([(3, ARC_CODE["select"], 0, 0)])
-    det.observe_batch(np.full(4, 3), np.ones(4, dtype=bool))
-    det.observe_batch(np.full(2, 3), np.zeros(2, dtype=bool))
+    det.observe_batch([(3, 1)])                       # the shard's sample
     det.observe_transitions([(3, ARC_CODE["evict"], 5, 0)])
 
     families = parse_exposition(render_prometheus(r))

@@ -73,7 +73,7 @@ def test_apply_result_frame_roundtrip():
         col_fast=900, col_fallback=36, col_single=64)
     out = wire.decode_apply_result(frame)
     assert out == (7, 1000, 800, 3, 123456, (5, 9, 1000),
-                   (True, False, True), (), 0.0, 0.0, 0.0, 900, 36, 64)
+                   (True, False, True), (), 0.0, 0.0, 0.0, 900, 36, 64, ())
     with pytest.raises(wire.ProtocolError, match="length mismatch"):
         wire.decode_apply_result(frame[:-1])
 
@@ -88,7 +88,7 @@ def test_apply_result_frame_carries_transitions_and_latency():
         t_recv=100.5, t_done=100.75)
     (ticket, events, correct, incorrect, last_instr, changed,
      deployed, out_trans, apply_seconds, t_recv,
-     t_done, col_fast, col_fallback, col_single) = \
+     t_done, col_fast, col_fallback, col_single, tte) = \
         wire.decode_apply_result(frame)
     assert (ticket, events, correct, incorrect, last_instr) == (
         8, 64, 50, 2, 777)
@@ -99,10 +99,26 @@ def test_apply_result_frame_carries_transitions_and_latency():
     # attribute wire_out / wire_back span stages.
     assert t_recv == pytest.approx(100.5)
     assert t_done == pytest.approx(100.75)
-    # Columnar routing counters default to zero when not supplied.
+    # Columnar routing counters and tte samples default to empty.
     assert (col_fast, col_fallback, col_single) == (0, 0, 0)
+    assert tte == ()
     with pytest.raises(wire.ProtocolError, match="length mismatch"):
         wire.decode_apply_result(frame[:-1])
+
+
+def test_apply_result_frame_carries_time_to_evict():
+    tte = ((5, 9), ((7 << 32) | 3, 1 << 40), (11, 0))
+    frame = wire.encode_apply_result(
+        9, events=32, correct=30, incorrect=2, last_instr=640,
+        changed_pcs=(5,), changed_deployed=(False,),
+        transitions=((5, 2, 100, 640),), tte=tte)
+    out = wire.decode_apply_result(frame)
+    assert out[7] == ((5, 2, 100, 640),)
+    assert out[-1] == tte
+    with pytest.raises(wire.ProtocolError, match="length mismatch"):
+        wire.decode_apply_result(frame[:-8])            # half a pair
+    with pytest.raises(wire.ProtocolError, match="length mismatch"):
+        wire.decode_apply_result(frame + bytes(16))     # an extra pair
 
 
 def test_tapply_frame_roundtrip_with_packed_keys():
@@ -228,6 +244,15 @@ def test_every_decoder_rejects_malformed_frames():
          wire.encode_apply_result(1, events=16, correct=9, incorrect=1,
                                   last_instr=64, changed_pcs=(5,),
                                   changed_deployed=(True,)),
+         "APPLY_RESULT", True, True),
+        # ... and with transition and time-to-evict sections, so cuts
+        # land inside the tte pairs and trailing bytes overrun them.
+        (wire.decode_apply_result,
+         wire.encode_apply_result(2, events=16, correct=9, incorrect=1,
+                                  last_instr=64, changed_pcs=(5,),
+                                  changed_deployed=(True,),
+                                  transitions=((5, 2, 15, 64),),
+                                  tte=((5, 3), (6, 4))),
          "APPLY_RESULT", True, True),
         (wire.decode_barrier, wire.encode_barrier(4), "BARRIER",
          True, True),

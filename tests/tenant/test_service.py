@@ -494,3 +494,48 @@ def test_worker_mode_spill_restore_snapshot_is_bit_exact(tmp_path,
     restored._ensure_resident(probe)
     assert restored.tenant_stats()["spilled_tenants"] == 0
     assert (controller_states(restored), restored.metrics()) == reference
+
+
+def test_stop_releases_the_spill_store(tmp_path, monkeypatch):
+    """A spilling service run under ``async with`` deletes its
+    temporary spill directory and closes the log on stop: nothing is
+    left on disk and no ResourceWarning fires when it is collected."""
+    import gc
+    import tempfile
+    import warnings
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    batches = mixed_batches(4_000, [1, 2, 3, 4], 30, seed=5)
+    scfg = ServiceConfig(n_shards=2, tenant_resident_bytes=4 * BPB,
+                         tenant_bytes_per_branch=BPB)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        stats = run_service(batches, scfg,
+                            after=lambda service: service.tenant_stats())
+        gc.collect()
+    assert stats["spills"] > 0 and stats["spilled_tenants"] > 0
+    assert list(tmp_path.glob("repro-tenant-spill-*")) == []
+    assert [w for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_stop_with_spilled_tenants_is_final(tmp_path):
+    """Spilled tenants leave with the spill store, so the stopped
+    service refuses to restart or snapshot instead of dropping them."""
+    batches = mixed_batches(4_000, [1, 2, 3, 4], 30, seed=5)
+    scfg = ServiceConfig(n_shards=2, tenant_resident_bytes=4 * BPB,
+                         tenant_bytes_per_branch=BPB)
+
+    async def go():
+        service = SpeculationService(scaled_config(), scfg)
+        async with service:
+            for batch in batches:
+                await submit_retry(service, batch)
+            await service.drain()
+            assert service.tenant_stats()["spilled_tenants"] > 0
+        with pytest.raises(RuntimeError, match="spilled tenants"):
+            await service.snapshot(tmp_path / "late.json.gz")
+        with pytest.raises(RuntimeError, match="cannot restart"):
+            await service.start()
+
+    asyncio.run(go())
