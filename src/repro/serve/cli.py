@@ -50,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-events", type=int, default=None,
                         help="truncate the trace to N events")
     parser.add_argument("--shards", type=int, default=None,
-                        help="controller bank shards (default: 4)")
+                        help="controller bank shards (default: 1 "
+                             "in-process — shards on one event loop add "
+                             "no parallelism; --workers N runs N)")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
                         help="run N per-shard worker processes (implies "
                              "--shards N; default: 0 = in-process)")
@@ -194,7 +196,7 @@ async def _run(args) -> int:
         raise ValueError(f"--workers {args.workers} implies --shards "
                          f"{args.workers}; drop the conflicting "
                          f"--shards {args.shards}")
-    n_shards = args.workers or (4 if args.shards is None else args.shards)
+    n_shards = args.workers or (1 if args.shards is None else args.shards)
     restore_path = args.restore
     if args.restore_latest is not None:
         from repro.serve.snapshot import find_latest_snapshot

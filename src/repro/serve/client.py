@@ -3,8 +3,10 @@
 :class:`SpeculationClient` is what an event producer (a JIT's profiling
 hooks, a trace replayer, a benchmark driver) holds.  It owns the
 polite half of the backpressure contract: on
-:class:`~repro.serve.service.BackpressureError` it sleeps for the
-service's ``retry_after`` hint and resubmits the *same* batch — same
+:class:`~repro.serve.service.BackpressureError` it awaits the
+service's capacity signal
+(:meth:`~repro.serve.service.SpeculationService.wait_capacity`, bounded
+by the ``retry_after`` hint) and resubmits the *same* batch — same
 sequence number — so retries are idempotent by construction.
 
 :func:`feed_trace` is the canonical replay driver used by the CLI,
@@ -36,7 +38,7 @@ class SubmitStats:
     batches: int = 0
     events: int = 0
     rejections: int = 0
-    retry_wait: float = 0.0   # total seconds slept on backpressure
+    retry_wait: float = 0.0   # total seconds waited on backpressure
 
     def merge(self, other: "SubmitStats") -> None:
         self.batches += other.batches
@@ -46,7 +48,12 @@ class SubmitStats:
 
 
 class SpeculationClient:
-    """Producer-side handle on a :class:`SpeculationService`."""
+    """Producer-side handle on a :class:`SpeculationService`.
+
+    A rejected batch waits for its shard to free capacity — woken by
+    the shard task's next dequeue, at most ``retry_after`` (and never
+    longer than ``max_backoff``) — then resubmits with the same seq.
+    """
 
     def __init__(self, service: SpeculationService,
                  max_retries: int = 1000,
@@ -73,11 +80,11 @@ class SpeculationClient:
         """Submit without yielding to workers on success.
 
         A bursting producer fills the shard queues back-to-back until
-        backpressure pushes back, then sleeps while workers drain in
-        large, dense micro-batches.  This trades decision latency for
-        throughput — the right deal for replay/bulk ingestion (it is
-        what :func:`feed_trace` uses); interactive producers should
-        prefer :meth:`submit`.
+        backpressure pushes back, then waits while workers drain in
+        large, dense micro-batches, resuming at the first dequeue.
+        This trades decision latency for throughput — the right deal
+        for replay/bulk ingestion (it is what :func:`feed_trace` uses);
+        interactive producers should prefer :meth:`submit`.
         """
         return await self._submit(batch, yield_after=False)
 
@@ -90,9 +97,9 @@ class SpeculationClient:
                 rejections += 1
                 if rejections > self.max_retries:
                     raise
-                wait = min(bp.retry_after, self.max_backoff)
-                self.stats.retry_wait += wait
-                await asyncio.sleep(wait)
+                t0 = time.monotonic()
+                await self.service.wait_capacity(bp, self.max_backoff)
+                self.stats.retry_wait += time.monotonic() - t0
                 continue
             if yield_after:
                 await asyncio.sleep(0)

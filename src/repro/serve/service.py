@@ -17,7 +17,12 @@ Design points:
   enqueue) with :class:`BackpressureError` carrying a ``retry_after``
   hint derived from the observed drain rate.  Combined with monotonic
   batch sequence numbers, rejected batches are resubmitted verbatim
-  and can never double-ingest.
+  and can never double-ingest.  Producers on the service's own loop
+  await :meth:`~SpeculationService.wait_capacity` instead of sleeping
+  on the hint: each shard task signals its shard's capacity event as
+  soon as a dequeue frees room, so a bursting producer resumes at the
+  rate the shard drains.  ``retry_after`` is for producers that
+  cannot await the service.
 * **Adaptive micro-batching.**  Workers coalesce everything queued up
   to a per-shard target that doubles while the queue stays deep and
   halves when it runs dry — small batches (low latency) when lightly
@@ -70,9 +75,15 @@ _STALE = ("live shard state was lost when the service stopped (worker "
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tuning knobs of the online service (not of the controller)."""
+    """Tuning knobs of the online service (not of the controller).
 
-    n_shards: int = 4
+    The in-process default is one shard: in-process shards share one
+    event loop, so more of them add no parallelism, only a per-shard
+    split of every batch.  Multi-core scaling comes from ``workers``
+    (one OS process per shard, ``workers == n_shards``).
+    """
+
+    n_shards: int = 1
     #: Per-shard queue bound, in events.  Overflow → backpressure.
     queue_events: int = 32_768
     #: Adaptive micro-batch coalescing floor/ceiling, in events.
@@ -80,7 +91,8 @@ class ServiceConfig:
     max_batch_events: int = 8_192
     #: Rolling telemetry window, in events.
     telemetry_window: int = 65_536
-    #: Retry hint when no drain rate has been observed yet.
+    #: Retry hint when no drain rate has been observed yet (also the
+    #: longest :meth:`SpeculationService.wait_capacity` waits then).
     default_retry_after: float = 0.02
     #: Auto-snapshot every N applied events (None = disabled).
     snapshot_interval_events: int | None = None
@@ -209,7 +221,10 @@ class BackpressureError(Exception):
 
     Resubmit the same batch (same ``seq``) after ``retry_after``
     seconds; the hint is the time the hottest destination shard needs
-    to drain at its recently observed rate.
+    to drain at its recently observed rate.  A producer on the
+    service's event loop can instead await
+    :meth:`SpeculationService.wait_capacity`, which returns as soon as
+    ``shard`` dequeues (bounded by the hint).
     """
 
     def __init__(self, shard: int, queued_events: int,
@@ -315,6 +330,10 @@ class SpeculationService:
         self._queues: list[asyncio.Queue] = [asyncio.Queue()
                                              for _ in range(n)]
         self._queued_events = [0] * n
+        #: Per-shard capacity signal, set after every dequeue.  Kept
+        #: here rather than on the queue objects so a caller may swap
+        #: the queues before :meth:`start`.
+        self._capacity = [asyncio.Event() for _ in range(n)]
         self._targets = [self.service_config.min_batch_events] * n
         self._last_seq = last_seq
         self._events_submitted = self.bank.events_applied
@@ -340,18 +359,7 @@ class SpeculationService:
         self._wal_dirty = asyncio.Event()
         self._wal_task: asyncio.Task | None = None
         if self.service_config.wal_dir is not None:
-            from repro.wal.writer import WalWriter
-
-            self._wal = WalWriter(
-                self.service_config.wal_dir,
-                segment_bytes=self.service_config.wal_segment_bytes,
-                fsync=self.service_config.wal_fsync,
-                registry=(self.registry if self.service_config.obs
-                          else None))
-            if self.spans is not None:
-                # Durability watermark advances → stamp wal_fsync
-                # (time-to-durability) on the covered spans.
-                self._wal.on_durable = self.spans.note_durable
+            self._open_wal()
         self._repl = None
         if self.service_config.repl_listen is not None:
             self.enable_replication(self.service_config.repl_listen)
@@ -363,6 +371,22 @@ class SpeculationService:
                 or self.service_config.tenant_resident_bytes is not None
                 or self.service_config.tenant_spill_dir is not None):
             self._tenants = self._make_tenant_manager()
+
+    def _open_wal(self) -> None:
+        """Open (or, after :meth:`stop`, reopen) the WAL writer; it
+        adopts the segments already in ``wal_dir``."""
+        from repro.wal.writer import WalWriter
+
+        self._wal = WalWriter(
+            self.service_config.wal_dir,
+            segment_bytes=self.service_config.wal_segment_bytes,
+            fsync=self.service_config.wal_fsync,
+            registry=(self.registry if self.service_config.obs
+                      else None))
+        if self.spans is not None:
+            # Durability watermark advances → stamp wal_fsync
+            # (time-to-durability) on the covered spans.
+            self._wal.on_durable = self.spans.note_durable
 
     def _make_tenant_manager(self) -> TenantManager:
         scfg = self.service_config
@@ -386,6 +410,9 @@ class SpeculationService:
             raise RuntimeError(
                 "cannot restart: " + _STALE + "; restore a snapshot "
                 "instead")
+        if self._wal is not None and self._wal.closed:
+            # Restart after stop(): the log continues where it ended.
+            self._open_wal()
         self._running = True
         if self.service_config.obs:
             for shard in self.bank.shards:
@@ -419,7 +446,11 @@ class SpeculationService:
             self._repl.start()
 
     async def stop(self, drain: bool = True) -> None:
-        """Stop workers; by default drain queued events first."""
+        """Stop workers; by default drain queued events first.
+
+        Closes the WAL writer (after a final group commit); a later
+        :meth:`start` reopens it on the same directory.
+        """
         if self._fatal is not None:
             drain = False
         if drain and self._running:
@@ -445,6 +476,8 @@ class SpeculationService:
         if self._repl is not None:
             await asyncio.get_running_loop().run_in_executor(
                 None, self._repl.close)
+        if self._wal is not None:
+            self._wal.close()
         if self._pool is not None:
             pool, self._pool = self._pool, None
             states = await pool.shutdown(gather=drain)
@@ -579,6 +612,36 @@ class SpeculationService:
         self.submit_nowait(batch)
         await asyncio.sleep(0)
 
+    async def wait_capacity(self, err: BackpressureError,
+                            max_wait: float | None = None) -> None:
+        """Wait until ``err``'s shard dequeues, at most ``retry_after``.
+
+        The awaitable twin of the ``retry_after`` hint: a producer
+        rejected by :meth:`submit_nowait` awaits this and resubmits.
+        It returns as soon as the shard task frees queue room, so a
+        bursting producer is never asleep while its shard idles.  The
+        hint stays the bound (``max_wait`` caps it further): quiesce
+        and "spilling" rejections may see no further dequeue.  A
+        :class:`QuotaExceededError` (shard -1) waits out its token
+        bucket's hint — draining a queue refills no bucket.
+        """
+        bound = err.retry_after
+        if max_wait is not None:
+            bound = min(bound, max_wait)
+        if not 0 <= err.shard < len(self._capacity):
+            await asyncio.sleep(bound)
+            return
+        event = self._capacity[err.shard]
+        event.clear()
+        # A timer setting the event (not ``wait_for``) bounds the wait
+        # without a task per call; it may wake other waiters on this
+        # shard early, which costs them one more rejected submit.
+        timer = asyncio.get_running_loop().call_later(bound, event.set)
+        try:
+            await event.wait()
+        finally:
+            timer.cancel()
+
     def _retry_after(self, shard: int) -> float:
         rate = self.telemetry.drain_rate
         if rate <= 0:
@@ -675,12 +738,14 @@ class SpeculationService:
                             break
                         queue.task_done()
                     self._queued_events[shard_index] = 0
+                    self._capacity[shard_index].set()
                     return
                 shard.absorb(result)
             else:
                 result = shard.apply(pcs, taken, instrs)
             depth = self._queued_events[shard_index] - events
             self._queued_events[shard_index] = depth
+            self._capacity[shard_index].set()
             if scfg.obs:
                 self.telemetry.record_apply(
                     shard_index, events, result.correct, result.incorrect,
@@ -781,8 +846,10 @@ class SpeculationService:
                         break
                     queue.task_done()
                 self._queued_events[shard_index] = 0
+                self._capacity[shard_index].set()
                 return False
             queue.task_done()
+        self._capacity[shard_index].set()
         return True
 
     async def _wal_committer(self) -> None:
@@ -922,6 +989,8 @@ class SpeculationService:
                 out = save_snapshot(path, self)
         finally:
             self._quiescing = False
+            for event in self._capacity:
+                event.set()   # intake is open again
         self._snapshot_seq = self._last_seq
         self.snapshots_written.append(out)
         if self._wal is not None:

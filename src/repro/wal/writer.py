@@ -242,6 +242,10 @@ class WalWriter:
 
     # -- properties -----------------------------------------------------
     @property
+    def closed(self) -> bool:
+        return self._closed
+
+    @property
     def last_seq(self) -> int:
         """Newest sequence number appended (not necessarily durable)."""
         return self._last_seq

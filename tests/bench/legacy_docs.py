@@ -13,8 +13,10 @@ from __future__ import annotations
 
 
 def serve_doc(single: float = 2_500_000.0, eps4: float = 5_500_000.0,
-              exact: bool = True, cpus: int = 4) -> dict:
+              exact: bool = True, cpus: int = 4,
+              inprocess: float = 0.85) -> dict:
     multi = {"1": 2_300_000.0, "2": 3_900_000.0, "4": float(eps4)}
+    shard = 25_000_000.0
     return {
         "kind": "repro.serve.bench",
         "schema": 1,
@@ -25,6 +27,10 @@ def serve_doc(single: float = 2_500_000.0, eps4: float = 5_500_000.0,
         "multi_process_eps": multi,
         "speedup_at_max_workers": eps4 / single,
         "max_workers": 4,
+        # Later documents also carry the in-process ratio's rounds.
+        "inprocess": {"batch_events": 8192,
+                      "service_eps": [inprocess * shard] * 5,
+                      "shard_eps": [shard] * 5},
         "exact": exact,
     }
 

@@ -139,6 +139,12 @@ def _doctored_serve():
     return doc
 
 
+def _doctored_serve_inprocess():
+    doc = serve_doc(inprocess=0.33)  # < 0.7 floor
+    doc["inprocess_over_shard"] = 0.9
+    return doc
+
+
 def _doctored_wal():
     doc = wal_doc(baseline=2_500_000.0, batch=1_500_000.0)  # 40% > 15%
     doc["batch_overhead"] = 0.05
@@ -197,6 +203,7 @@ DOCTORED_CASES = [
     ("colpath", colpath_doc, _doctored_colpath_sampling_evict,
      "evict-by-sampling floor"),
     ("repl", repl_doc, _doctored_repl, "replication overhead"),
+    ("serve", serve_doc, _doctored_serve_inprocess, "in-process floor"),
 ]
 
 

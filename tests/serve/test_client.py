@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import asyncio
+import time
 
+import numpy as np
 import pytest
 
 from repro.serve.client import SpeculationClient, SubmitStats, feed_trace
-from repro.serve.events import iter_trace_batches
+from repro.serve.events import EventBatch, iter_trace_batches
 from repro.serve.service import (
     BackpressureError,
+    QuotaExceededError,
     ServiceConfig,
     SpeculationService,
 )
+from repro.serve.snapshot import load_snapshot
+from repro.sim.vector import run_vector
 
 
 def test_submit_stats_merge():
@@ -145,8 +150,6 @@ def test_feed_trace_rate_and_progress(bench_trace, bench_config):
 
 def test_feed_trace_paced(bench_trace, bench_config):
     """With a rate cap the feeder takes at least events/rate seconds."""
-    import time
-
     async def run():
         async with SpeculationService(bench_config) as service:
             started = time.monotonic()
@@ -203,3 +206,133 @@ def test_feed_trace_logs_skipped_batches_at_debug(bench_trace, bench_config,
     assert len(skipped) == 4
     assert all(r.levelname == "DEBUG" for r in skipped)
     assert "seq watermark 3" in skipped[0].message
+
+
+# -- waking on capacity ----------------------------------------------------
+# Every service below hints ``default_retry_after=5.0`` and every client
+# allows a 10 s backoff, so a producer that slept on the hint instead of
+# waking on its shard's dequeue would take at least one 5 s hint.
+HINT = 5.0
+
+
+def test_bursting_replay_wakes_on_capacity(bench_trace, bench_config):
+    """A multi-batch burst into a small queue resumes on each dequeue:
+    it finishes well under one pre-drain hint, exactly."""
+    async def run():
+        scfg = ServiceConfig(queue_events=2048, default_retry_after=HINT)
+        async with SpeculationService(bench_config, scfg) as service:
+            client = SpeculationClient(service, max_backoff=2 * HINT)
+            started = time.monotonic()
+            for batch in iter_trace_batches(bench_trace, 1024):
+                await client.submit_burst(batch)
+            await service.drain()
+            return (time.monotonic() - started, service.metrics(),
+                    client.stats)
+
+    elapsed, metrics, stats = asyncio.run(run())
+    assert metrics == run_vector(bench_trace, bench_config).metrics
+    assert stats.rejections > 10
+    assert elapsed < HINT / 2
+    assert 0 < stats.retry_wait <= elapsed
+
+
+def test_snapshot_mid_burst_stays_live(bench_trace, bench_config,
+                                       tmp_path):
+    """Quiesce rejections see no dequeue while the snapshot writes; the
+    producer still resumes once intake reopens."""
+    async def run():
+        scfg = ServiceConfig(queue_events=2048, default_retry_after=HINT)
+        async with SpeculationService(bench_config, scfg) as service:
+            client = SpeculationClient(service, max_backoff=2 * HINT)
+
+            async def produce():
+                for batch in iter_trace_batches(bench_trace, 1024):
+                    await client.submit_burst(batch)
+
+            started = time.monotonic()
+            producer = asyncio.ensure_future(produce())
+            while service.bank.events_applied < 8192:
+                await asyncio.sleep(0)
+            path = await service.snapshot(tmp_path / "mid.json.gz")
+            await producer
+            await service.drain()
+            return time.monotonic() - started, service.metrics(), path
+
+    elapsed, metrics, path = asyncio.run(run())
+    assert metrics == run_vector(bench_trace, bench_config).metrics
+    restored = load_snapshot(path)
+    assert 0 < restored.metrics().dynamic_branches < len(bench_trace)
+    assert elapsed < HINT / 2
+
+
+def test_spilling_rejection_wakes_after_the_spill(bench_config):
+    """A batch bounced because its tenant is mid-spill resumes when the
+    shard runs the spill job, not after the hint."""
+    rng = np.random.default_rng(3)
+
+    def batch(seq, tenant):
+        return EventBatch(
+            seq=seq, pcs=rng.integers(0, 64, 256).astype(np.int32),
+            taken=rng.uniform(size=256) < 0.9,
+            instrs=np.arange(seq * 256, (seq + 1) * 256, dtype=np.int64),
+            tenants=np.full(256, tenant, dtype=np.uint32))
+
+    async def run():
+        # A one-branch budget: every tenant switch spills the last one.
+        scfg = ServiceConfig(default_retry_after=HINT,
+                             tenant_resident_bytes=512)
+        service = SpeculationService(bench_config, scfg)
+        service.submit_nowait(batch(0, 1))
+        service.submit_nowait(batch(1, 2))   # picks tenant 1 to spill
+        bounced = batch(2, 1)
+        with pytest.raises(BackpressureError) as err:
+            service.submit_nowait(bounced)
+        assert not isinstance(err.value, QuotaExceededError)
+        assert err.value.retry_after == HINT
+        client = SpeculationClient(service, max_backoff=2 * HINT)
+        started = time.monotonic()
+        retrying = asyncio.ensure_future(client.submit(bounced))
+        await asyncio.sleep(0)
+        await service.start()
+        await retrying
+        elapsed = time.monotonic() - started
+        await service.drain()
+        stats = service.tenant_stats()
+        await service.stop()
+        return elapsed, stats, service.last_seq
+
+    elapsed, stats, last_seq = asyncio.run(run())
+    assert stats["spills"] >= 1 and stats["restores"] >= 1
+    assert last_seq == 2
+    assert elapsed < HINT / 2
+
+
+def test_quota_rejection_waits_out_its_bucket(bench_trace, bench_config):
+    """Draining a queue refills no token bucket: a quota bounce sleeps
+    its hint even while the shard keeps dequeuing."""
+    async def run():
+        scfg = ServiceConfig(queue_events=2048, tenant_quota_rate=20_000.0,
+                             tenant_quota_burst=1024)
+        async with SpeculationService(bench_config, scfg) as service:
+            batches = [
+                EventBatch(seq=b.seq, pcs=b.pcs, taken=b.taken,
+                           instrs=b.instrs,
+                           tenants=np.full(b.n_events, 1, dtype=np.uint32))
+                for b in iter_trace_batches(bench_trace, 1024,
+                                            max_events=2048)]
+            service.submit_nowait(batches[0])    # empties the bucket
+            with pytest.raises(QuotaExceededError) as err:
+                service.submit_nowait(batches[1])
+            hint = err.value.retry_after
+            assert hint > 0.02
+            # The shard dequeues batch 0 while the quota wait runs.
+            started = time.monotonic()
+            await service.wait_capacity(err.value, max_wait=2 * HINT)
+            waited = time.monotonic() - started
+            assert service.queued_events == 0
+            service.submit_nowait(batches[1])
+            await service.drain()
+        return hint, waited
+
+    hint, waited = asyncio.run(run())
+    assert waited >= hint * 0.9

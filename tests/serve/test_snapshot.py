@@ -286,6 +286,64 @@ def test_retired_columnar_knob_is_dropped_on_load(tmp_path):
         assert service.last_seq == doc["last_seq"]
 
 
+def _default_service_state(trace, config, n_events):
+    """``export_state`` of a fresh ``ServiceConfig()`` service after the
+    first ``n_events`` of ``trace`` in 1,024-event batches."""
+
+    async def run():
+        async with SpeculationService(config, ServiceConfig()) as service:
+            await feed_trace(service, trace, batch_events=1024,
+                             max_events=n_events)
+            await service.drain()
+        return service.bank.export_state()
+
+    return asyncio.run(run())
+
+
+def test_multi_shard_snapshot_restores_onto_default_config(
+        tmp_path, bench_trace, bench_config):
+    """A 4-shard snapshot loads onto the one-shard default with the
+    state an uninterrupted default service reaches."""
+    snap = tmp_path / "four.json.gz"
+
+    async def write():
+        async with SpeculationService(bench_config,
+                                      ServiceConfig(n_shards=4)) as service:
+            await feed_trace(service, bench_trace, batch_events=1024,
+                             max_events=20_480)
+            await service.snapshot(snap)
+
+    asyncio.run(write())
+    restored = load_snapshot(snap, service_config=ServiceConfig())
+    assert restored.bank.n_shards == ServiceConfig().n_shards == 1
+    assert (restored.bank.export_state()
+            == _default_service_state(bench_trace, bench_config, 20_480))
+
+
+@pytest.mark.parametrize("fixture", ["snapshot-v1.json.gz",
+                                     "snapshot-v6.json.gz",
+                                     "snapshot-v6-loop-engine"])
+def test_fixture_snapshots_restore_onto_default_config(
+        tmp_path, bench_trace, bench_config, fixture):
+    """The committed 2-shard fixtures (and the v5-v7 ``columnar: false``
+    spelling) restore onto ``ServiceConfig()`` bit-exactly."""
+    from pathlib import Path
+
+    path = Path(__file__).parent / "data" / fixture
+    if fixture == "snapshot-v6-loop-engine":
+        with gzip.open(path.with_name("snapshot-v6.json.gz"), "rt",
+                       encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["service_config"]["columnar"] = False
+        path = tmp_path / "snapshot-v6-loop-engine.json.gz"
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    restored = load_snapshot(path, service_config=ServiceConfig())
+    assert restored.bank.n_shards == 1
+    assert (restored.bank.export_state()
+            == _default_service_state(bench_trace, bench_config, 10_240))
+
+
 def test_find_latest_snapshot_skips_corrupt(tmp_path, bench_config):
     from repro.serve.snapshot import find_latest_snapshot
 

@@ -187,6 +187,59 @@ def test_service_refuses_stale_wal_directory(tmp_path, bench_config):
     asyncio.run(reuse())
 
 
+@pytest.mark.parametrize("fsync", ["batch", "always", "off"])
+def test_wal_backed_service_leaves_no_resource_warning(tmp_path,
+                                                       bench_config, fsync):
+    """``stop()`` closes the WAL writer: a service run under ``async
+    with`` leaves no unclosed segment file for the collector."""
+    import gc
+    import warnings
+
+    scfg = ServiceConfig(wal_dir=str(tmp_path / "wal"), wal_fsync=fsync)
+
+    async def run():
+        async with SpeculationService(bench_config, scfg) as service:
+            for batch in make_batches(4, events=64):
+                await service.submit(batch)
+            await service.drain()
+        assert service._wal.closed
+
+    gc.collect()    # earlier tests' garbage is not this test's
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        asyncio.run(run())
+        gc.collect()
+    assert [w for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_restart_after_stop_reopens_the_wal(tmp_path, bench_config):
+    """A stopped service restarts onto the same log: batches accepted
+    after the restart are appended behind the first run's, and the log
+    alone recovers the whole history."""
+    wal_dir = tmp_path / "wal"
+    scfg = ServiceConfig(wal_dir=str(wal_dir), wal_fsync="batch")
+    batches = make_batches(6, events=64)
+
+    async def run():
+        service = SpeculationService(bench_config, scfg)
+        for half in (batches[:3], batches[3:]):
+            async with service:
+                for batch in half:
+                    await service.submit(batch)
+                await service.drain()
+            assert service._wal.closed
+        return service
+
+    service = asyncio.run(run())
+    assert service.last_durable_seq == batches[-1].seq
+    recovered, report = recover_service(wal_dir, config=bench_config,
+                                        attach_wal=False)
+    assert report.replayed_events == 6 * 64
+    assert (recovered.bank.export_state()["shards"]
+            == service.bank.export_state()["shards"])
+
+
 def test_point_in_time_recovery(tmp_path, bench_trace, bench_config):
     """``up_to_seq`` recovers the exact state at an older watermark —
     the primitive failover uses to audit a promoted standby against
