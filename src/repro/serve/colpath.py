@@ -1,7 +1,7 @@
 """Columnar cross-branch engine: advance many branches in one shot.
 
 This is the service's one online engine: :meth:`BankShard.apply` hands
-it every micro-batch.  The per-branch chunked kernel
+it every micro-batch.  The per-branch chunked engine
 (:mod:`repro.serve.fastpath`) makes *within-branch* work numpy-fast,
 but one Python ``apply_chunk`` call per distinct PC per micro-batch is
 interpreter-bound with thousands of interleaved static branches: each
@@ -22,22 +22,23 @@ rows:
   array code: the classify/revisit fire from the ``next_fire`` column,
   the pending-landing offset by counting the window's instruction
   stamps below the ``land`` column (a segmented ``add.reduceat``), and
-  the eviction arc's exact first-threshold-crossing index — from the
-  segmented floored-walk cumsum (a running minimum over per-segment
-  offsets) under counter eviction, or from the correct count of every
-  sample completion in the window under eviction by sampling — for
-  every engaged episode at once;
+  the eviction arc's exact offset for every engaged episode at once,
+  from the segmented forms of the shared eviction kernels in
+  :mod:`repro.core.kernels` — the floored counter walk
+  (:func:`~repro.core.kernels.floored_walk`) or the sample-window
+  completion scan (:func:`~repro.core.kernels.sample_scan`), which
+  also yield the counter or window state the prefix ends in;
 * **advance** — the pre-boundary prefix of every row moves with the
   columnar kernels: one batch-global prefix sum of outcomes yields any
   window's taken count in O(1), driving execution counts, monitor
   tallies (a strided gather over the window when the monitor samples
   every ``monitor_sample_stride``-th execution), outcome accounting
-  against the deployed direction, the exact floored-at-zero
-  eviction-walk endpoint and the sampling window's position/tally;
+  against the deployed direction, and the counter's closed-form decay
+  over a miss-free window;
 * **fire** — rows that reached a boundary apply the transition as a
   batched array op per arc kind: the classify decision (bias test over
   ``mon_taken``/``mon_samples``, vectorized in
-  :func:`~repro.serve.fastpath.classify_split`), revisit re-entry to
+  :func:`~repro.core.kernels.classify_split`), revisit re-entry to
   MONITOR, the eviction arc, and optimization-latency landings.  A
   short per-firing-row sync writes the cold scalar-controller fields
   (FSM state, entry index, the deployment queue, the transition log);
@@ -63,12 +64,10 @@ The contract stays **bit-exactness**: rows are mirrors, the scalar
 the source of truth for snapshots and ``export_state()`` and are
 refreshed lazily (:meth:`flush`), so snapshots, WAL replay and obs
 tracing stay interchangeable with offline runs (the scalar spec and
-:func:`~repro.sim.vector.run_vector`).  The floored-walk identity —
-``walk = cum - min(0, running_min(cum))`` over the segment's step
-prefix sums with the live counter as carry-in — is the same one
-``apply_chunk`` applies per branch, evaluated here for all engaged
-rows at once, including the first index where the walk reaches the
-eviction ceiling.
+:func:`~repro.sim.vector.run_vector`).  All three engines take the
+eviction arithmetic from :mod:`repro.core.kernels`: ``apply_chunk`` and
+``run_vector`` call each kernel on one segment, this module on all
+engaged rows at once.
 """
 
 from __future__ import annotations
@@ -77,9 +76,17 @@ import numpy as np
 
 from repro.core.config import ControllerConfig
 from repro.core.controller import ControllerBank, ReactiveBranchController
+from repro.core.kernels import (
+    NEVER,
+    classify_split,
+    deploy_delay,
+    floored_walk,
+    sample_scan,
+    segments,
+)
 from repro.core.states import BranchState, Transition, TransitionKind
 from repro.obs.tracing import ARC_CODE
-from repro.serve.fastpath import apply_chunk, classify_split, deploy_delay
+from repro.serve.fastpath import apply_chunk
 
 __all__ = ["ColumnarBank"]
 
@@ -92,11 +99,6 @@ _STATE_CODE = {
     BranchState.UNBIASED: _UNBIASED,
     BranchState.DISABLED: _DISABLED,
 }
-
-#: "No boundary scheduled" sentinel for the next-fire execution index
-#: and the next-landing instruction stamp: far beyond any real count,
-#: safely below int64 overflow under ``exec + batch_len`` arithmetic.
-_NEVER = 1 << 62
 
 _CODE_SELECT = ARC_CODE[TransitionKind.SELECT.value]
 _CODE_REJECT = ARC_CODE[TransitionKind.REJECT.value]
@@ -248,7 +250,7 @@ class ColumnarBank:
         self.pc[rows] = new_pcs
         self.state[rows] = _MONITOR
         self.next_fire[rows] = self.config.monitor_period
-        self.land[rows] = _NEVER
+        self.land[rows] = NEVER
         self.flip_onset[rows] = -1
         for name in ("exec", "counter", "mon_taken", "mon_samples",
                      "win_pos", "win_correct", "bias_entries", "correct",
@@ -303,13 +305,13 @@ class ColumnarBank:
         self.deployed[row] = ctrl._deployed
         self.dep_dir[row] = ctrl._deployed_direction
         self.episode[row] = ctrl._episode_active
-        self.land[row] = ctrl._pending[0][0] if ctrl._pending else _NEVER
+        self.land[row] = ctrl._pending[0][0] if ctrl._pending else NEVER
         if state is BranchState.MONITOR:
             fire = ctrl._state_entry_exec + cfg.monitor_period
         elif state is BranchState.UNBIASED and cfg.revisit_enabled:
             fire = ctrl._state_entry_exec + cfg.revisit_period
         else:
-            fire = _NEVER
+            fire = NEVER
         self.next_fire[row] = fire
         self.dirty[row] = False
 
@@ -431,7 +433,7 @@ class ColumnarBank:
         """Monitor period complete for ``crows``: classify each branch.
 
         The bias decision is one vectorized pass
-        (:func:`~repro.serve.fastpath.classify_split`); column updates
+        (:func:`~repro.core.kernels.classify_split`); column updates
         batch per outcome kind; a short per-row loop syncs the cold
         scalar-controller fields and the transition log.  Hot fields
         stay columnar (the rows are already dirty from the prefix
@@ -444,7 +446,7 @@ class ColumnarBank:
         if select.any():
             r = crows[select]
             self.state[r] = _BIASED
-            self.next_fire[r] = _NEVER
+            self.next_fire[r] = NEVER
             self.counter[r] = 0
             self.episode[r] = False
             self.bias_entries[r] += 1
@@ -454,11 +456,11 @@ class ColumnarBank:
             if cfg.revisit_enabled:
                 self.next_fire[r] = fexec[reject] + 1 + cfg.revisit_period
             else:
-                self.next_fire[r] = _NEVER
+                self.next_fire[r] = NEVER
         if disable.any():
             r = crows[disable]
             self.state[r] = _DISABLED
-            self.next_fire[r] = _NEVER
+            self.next_fire[r] = NEVER
         controllers = self._scalars._controllers
         pc_col = self.pc
         land_col = self.land
@@ -523,10 +525,6 @@ class ColumnarBank:
         self.state[erows] = _MONITOR
         self.mon_taken[erows] = 0
         self.mon_samples[erows] = 0
-        if not cfg.evict_by_sampling:
-            # The walk saturates at the ceiling on the evicting miss;
-            # eviction by sampling never touches the counter.
-            self.counter[erows] = cfg.evict_counter_max
         self.episode[erows] = False
         self.next_fire[erows] = fexec + 1 + cfg.monitor_period
         controllers = self._scalars._controllers
@@ -676,11 +674,7 @@ class ColumnarBank:
         strided = stride > 1
         evict_counter = cfg.eviction_enabled and not cfg.evict_by_sampling
         evict_sampling = cfg.eviction_enabled and cfg.evict_by_sampling
-        inc = cfg.misspec_increment
         dec = cfg.correct_decrement
-        cmax = cfg.evict_counter_max
-        s_period = cfg.evict_sample_period
-        s_len = cfg.evict_sample_len
         act = np.arange(nseg, dtype=np.int64)
         while act.size:
             arows = rows[act]
@@ -713,8 +707,7 @@ class ColumnarBank:
             # no per-event scan needed.
             need_walk = (engaged & (miss_win > 0) if evict_counter
                          else np.zeros(act.size, dtype=bool))
-            cross = np.full(act.size, _NEVER, dtype=np.int64)
-            walk_end = None
+            cross = np.full(act.size, NEVER, dtype=np.int64)
             scan = due | need_walk
             if strided:
                 # A strided monitor samples the executions whose offset
@@ -729,14 +722,9 @@ class ColumnarBank:
                 # eviction walks, strided monitor gathers); everything
                 # else stays O(1)/row.
                 sidx = np.flatnonzero(scan)
-                lens = rem[sidx]
-                total = int(lens.sum())
-                base = np.cumsum(lens) - lens
-                seg_id = np.repeat(np.arange(sidx.size), lens)
-                gidx = (np.arange(total, dtype=np.int64) - base[seg_id]
-                        + acur[sidx][seg_id])
-                if strided or need_walk.any():
-                    pos = np.arange(total, dtype=np.int64) - base[seg_id]
+                segs = segments(rem[sidx])
+                base, seg_id, pos = segs
+                gidx = pos + acur[sidx][seg_id]
                 if due.any():
                     # Stamps are sorted within a window, so the landing
                     # offset is the count of stamps below the land mark.
@@ -744,76 +732,37 @@ class ColumnarBank:
                     m_land[sidx] = np.add.reduceat(
                         below.astype(np.int64), base)
                 if need_walk.any():
-                    hit_dir = taken[gidx] == dirs[sidx][seg_id]
-                    steps = np.where(hit_dir, -dec, inc)
-                    cum = np.cumsum(steps)
-                    carry = counter0[sidx] - (cum[base] - steps[base])
-                    walk_cum = cum + carry[seg_id]
-                    # Segmented running minimum: shift each segment
-                    # down by more than the global value range so a
-                    # global minimum.accumulate cannot leak across
-                    # segment boundaries, then shift back.
-                    big = int(walk_cum.max()) - int(walk_cum.min()) + 1
-                    shift = seg_id * big
-                    run_min = (np.minimum.accumulate(walk_cum - shift)
-                               + shift)
-                    walk = walk_cum - np.minimum(run_min, 0)
-                    wlen = np.minimum(lens, m_land[sidx])
-                    crossing = ((walk >= cmax) & (pos < wlen[seg_id])
-                                & need_walk[sidx][seg_id])
-                    first = np.minimum.reduceat(
-                        np.where(crossing, pos, _NEVER), base)
-                    found = first != _NEVER
+                    # The walk stops at a landing; rows scanned for
+                    # another reason get an empty prefix.
+                    w = need_walk[sidx]
+                    first, end = floored_walk(
+                        taken[gidx] == dirs[sidx][seg_id], counter0[sidx],
+                        cfg, segs,
+                        np.where(w, np.minimum(rem[sidx], m_land[sidx]), 0))
+                    self.counter[arows[sidx[w]]] = end[w]
+                    found = first != NEVER
                     cross[sidx[found]] = first[found] + 1
-                    walk_end = np.zeros(act.size, dtype=np.int64)
-                    walk_end[sidx] = walk[base + np.maximum(wlen, 1) - 1]
                 if strided and mon.any():
                     # Exclusive prefix sum of sampled taken outcomes
                     # over the view: a window prefix's strided tally is
                     # a difference of two entries once its length is
                     # known.
                     sampled = (pos + mon_off[sidx][seg_id]) % stride == 0
-                    s_tc = np.zeros(total + 1, dtype=np.int64)
+                    s_tc = np.zeros(len(gidx) + 1, dtype=np.int64)
                     np.cumsum(taken[gidx] & sampled, out=s_tc[1:])
                     s_base = np.zeros(act.size, dtype=np.int64)
                     s_base[sidx] = base
             if evict_sampling and engaged.any():
-                # Eviction by sampling: the window's position runs
-                # modulo the sample period and the sample completes at
-                # position s_len - 1, k0 events in.  A completion's
-                # correct count is the window's last s_len outcomes
-                # against the deployed direction, plus the tally
-                # carried in when the sample began before this window.
-                wp0 = self.win_pos[arows]
-                wc0 = self.win_correct[arows]
-                k0 = (s_len - 1 - wp0) % s_period
-                carried = np.where(wp0 < s_len, wp0 - wc0, 0)
-                wlen_s = np.minimum(rem, m_land)
-                # No miss in the window and none carried in: every
-                # completed sample is perfect, so none can evict.
-                cand = (engaged & (k0 < wlen_s)
-                        & ((miss_win > 0) | (carried > 0)))
-                if cand.any():
-                    ci = np.flatnonzero(cand)
-                    ncomp = (wlen_s[ci] - 1 - k0[ci]) // s_period + 1
-                    cbase = np.cumsum(ncomp) - ncomp
-                    cseg = np.repeat(np.arange(ci.size), ncomp)
-                    k = (k0[ci][cseg] + s_period
-                         * (np.arange(int(ncomp.sum()), dtype=np.int64)
-                            - cbase[cseg]))
-                    lo_rel = k + 1 - s_len
-                    hi = acur[ci][cseg] + k + 1
-                    lo = hi - s_len - np.minimum(lo_rel, 0)
-                    t = tc[hi] - tc[lo]
-                    count = (np.where(dirs[ci][cseg], t, hi - lo - t)
-                             + np.where(lo_rel < 0, wc0[ci][cseg], 0))
-                    # int64 / int is one float64 division, bit-equal to
-                    # the scalar's int / int.
-                    bad = count / s_len < cfg.evict_bias_threshold
-                    first = np.minimum.reduceat(
-                        np.where(bad, k, _NEVER), cbase)
-                    found = first != _NEVER
-                    cross[ci[found]] = first[found] + 1
+                # Eviction by sampling up to the first failing
+                # completion or the landing, whichever comes first:
+                # exactly the prefix the row advances by below.
+                e = np.flatnonzero(engaged)
+                er = arows[e]
+                first, self.win_pos[er], self.win_correct[er] = sample_scan(
+                    tc, acur[e], np.minimum(rem[e], m_land[e]), dirs[e],
+                    self.win_pos[er], self.win_correct[er], cfg)
+                found = first != NEVER
+                cross[e[found]] = first[found] + 1
             # First boundary wins; an arc consuming b events fires
             # during event b-1, a landing at offset m fires before
             # event m — so the arc goes first iff b <= m.
@@ -849,34 +798,11 @@ class ColumnarBank:
                     self.mon_samples[mrows] += adv[mon]
                     self.mon_taken[mrows] += ct[mon]
             if evict_counter and engaged.any():
-                live = engaged & (cross == _NEVER)
-                simple = live & ~need_walk
+                # Miss-free windows only decay the counter: closed form.
+                simple = engaged & ~need_walk
                 if simple.any():
                     self.counter[arows[simple]] = np.maximum(
                         0, counter0[simple] - adv[simple] * dec)
-                walked = live & need_walk & (adv > 0)
-                if walked.any():
-                    self.counter[arows[walked]] = walk_end[walked]
-            if evict_sampling and engaged.any():
-                # Window position after the prefix; the tally is the
-                # current sample's correct count when the next event is
-                # mid-sample (0 < q < s_len), else 0 — a completed
-                # sample resets it, and past s_len nothing is sampled.
-                # Its outcomes are the prefix's last min(q, adv), plus
-                # the carried tally when the sample began earlier.
-                # An evicting row ends on its completion (q = s_len).
-                er = arows[engaged]
-                e_adv = adv[engaged]
-                e_wp = wp0[engaged]
-                q = (e_wp + e_adv) % s_period
-                tail = np.minimum(q, e_adv)
-                e_end = acur[engaged] + e_adv
-                t = tc[e_end] - tc[e_end - tail]
-                tally = (np.where(dirs[engaged], t, tail - t)
-                         + np.where(e_adv < q, wc0[engaged], 0))
-                self.win_pos[er] = q
-                self.win_correct[er] = np.where((q > 0) & (q < s_len),
-                                                tally, 0)
             self.dirty[arows[adv > 0]] = True
             self.events_fast += int(adv.sum())
             # -- fire: batched boundary transitions --------------------
@@ -891,7 +817,7 @@ class ColumnarBank:
                 if rev.any():
                     self._fire_revisit(arows[rev], fexec[rev],
                                        finstr[rev], capture, fired)
-                evi = arc & (cross != _NEVER)
+                evi = arc & (cross != NEVER)
                 if evi.any():
                     self._fire_evict(arows[evi], fexec[evi],
                                      finstr[evi], capture, fired)
@@ -915,7 +841,7 @@ class ColumnarBank:
                     self.dep_dir[row] = ctrl._deployed_direction
                     self.episode[row] = ctrl._episode_active
                     self.land[row] = (ctrl._pending[0][0]
-                                      if ctrl._pending else _NEVER)
+                                      if ctrl._pending else NEVER)
                     if evict_sampling:
                         self.win_pos[row] = ctrl._window_pos
                         self.win_correct[row] = ctrl._window_correct

@@ -5,14 +5,15 @@ The online service cannot use the whole-trace vectorized engine
 shard worker *does* see a micro-batch's worth of one branch's
 executions at a time.  :func:`apply_chunk` advances a live
 :class:`~repro.core.controller.ReactiveBranchController` over such a
-chunk with numpy scans instead of a per-event Python loop, reusing the
-vector engine's tricks incrementally:
+chunk with numpy scans instead of a per-event Python loop:
 
 * monitor windows and revisit countdowns are resolved with one slice
   reduction up to the known decision execution;
-* the eviction counter is a floored-at-zero random walk; its first
-  crossing within the chunk is ``cumsum`` + a running minimum, seeded
-  with the live counter value as carry-in;
+* the eviction arc — the floored-at-zero counter walk, or eviction by
+  sampling — is one call of the shared kernel in
+  :mod:`repro.core.kernels` (:func:`~repro.core.kernels.floored_walk`,
+  :func:`~repro.core.kernels.sample_scan`), seeded with the live
+  counter or sample window as carry-in;
 * pending re-optimization landings split the chunk at ``searchsorted``
   boundaries so deployment accounting stays stamp-exact.
 
@@ -20,16 +21,14 @@ The contract is *bit-exactness*: after ``apply_chunk(ctrl, t, s)`` the
 controller is in precisely the state ``len(t)`` successive
 :meth:`~repro.core.controller.ReactiveBranchController.observe` calls
 would leave it in, and the returned ``(correct, incorrect)`` deltas
-match the outcomes those calls would report.  Configurations outside
-the vectorized cases (eviction by sampling) fall back to the scalar
-controller per segment, so the contract holds for every config.  This
-is what makes service snapshots interchangeable with offline runs.
+match the outcomes those calls would report, under every
+configuration.  This is what makes service snapshots interchangeable
+with offline runs.
 
 Layering: this module is the *within-branch* engine.  The serving hot
 path stacks the cross-branch columnar engine
 (:mod:`repro.serve.colpath`) on top, which resolves FSM arcs, landings
-and evictions for many branches at once in array code and reuses
-:func:`classify_split` and :func:`deploy_delay` from here.  There
+and evictions for many branches at once with the same kernels.  There
 :func:`apply_chunk` serves only single-branch batches.
 """
 
@@ -38,42 +37,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.controller import ReactiveBranchController
+from repro.core.kernels import NEVER, floored_walk, sample_scan
 from repro.core.states import BranchState, TransitionKind
 
-__all__ = ["apply_chunk", "classify_split", "deploy_delay"]
-
-
-def deploy_delay(cfg) -> int:
-    """Instruction delay until a scheduled re-optimization lands.
-
-    Mirrors ``ReactiveBranchController._schedule_deploy``: with zero
-    configured latency the new code still cannot affect the current
-    execution, so it lands one instruction later (stamps strictly
-    grow).
-    """
-    latency = cfg.optimization_latency
-    return latency if latency > 0 else 1
-
-
-def classify_split(taken_counts: np.ndarray, samples: np.ndarray,
-                   bias_entries: np.ndarray, cfg,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray]:
-    """Vectorized monitor-classify decision over many branches at once.
-
-    The scalar arc lives in
-    ``ReactiveBranchController._classify_monitor``; this evaluates the
-    identical bias test (int64 counts, one float64 division — bit-equal
-    to Python's ``int / int``) for whole arrays, returning boolean
-    masks ``(select, reject, disable, direction)``.  ``select`` and
-    ``disable`` are disjoint; ``reject`` is their complement.
-    """
-    majority = np.maximum(taken_counts, samples - taken_counts)
-    biased = majority / samples >= cfg.selection_threshold
-    direction = (2 * taken_counts) >= samples
-    disable = biased & (bias_entries >= cfg.oscillation_limit)
-    select = biased & ~disable
-    return select, ~biased, disable, direction
+__all__ = ["apply_chunk"]
 
 
 def apply_chunk(ctrl: ReactiveBranchController,
@@ -117,22 +84,6 @@ def _account(ctrl: ReactiveBranchController,
     ctrl.correct += hits
     ctrl.incorrect += misses
     return hits, misses
-
-
-def _scalar_segment(ctrl: ReactiveBranchController, taken: np.ndarray,
-                    instrs: np.ndarray, i: int,
-                    limit: int) -> tuple[int, int, int]:
-    """Reference fallback: drive observe() per event over [i, limit)."""
-    observe = ctrl.observe
-    c = x = 0
-    for j in range(i, limit):
-        outcome = observe(bool(taken[j]), int(instrs[j]))
-        if outcome.speculated:
-            if outcome.correct:
-                c += 1
-            else:
-                x += 1
-    return c, x, limit
 
 
 def _segment(ctrl: ReactiveBranchController, taken: np.ndarray,
@@ -180,56 +131,28 @@ def _segment(ctrl: ReactiveBranchController, taken: np.ndarray,
                         ctrl.exec_count - 1, int(instrs[i + m - 1]))
         return c, x, i + m
 
-    if state is BranchState.DISABLED:
+    # DISABLED or BIASED.  Until the episode's code lands (it cannot
+    # land inside this segment), or with eviction off, the FSM is
+    # inert and only accounting runs.
+    if (state is BranchState.DISABLED or not ctrl._episode_active
+            or not cfg.eviction_enabled):
         c, x = _account(ctrl, taken[i:limit])
         ctrl.exec_count += span
         return c, x, limit
-
-    # BIASED.
-    if not ctrl._episode_active:
-        # Episode code not yet landed (and cannot land inside this
-        # segment): the FSM is inert; only accounting runs.
-        c, x = _account(ctrl, taken[i:limit])
-        ctrl.exec_count += span
-        return c, x, limit
-    if not ctrl._deployed:  # pragma: no cover - unreachable by design
-        return _scalar_segment(ctrl, taken, instrs, i, limit)
-    if not cfg.eviction_enabled:
-        c, x = _account(ctrl, taken[i:limit])
-        ctrl.exec_count += span
-        return c, x, limit
+    # The episode's code is deployed: the eviction arc is live.
+    hit = taken[i:limit] == ctrl._deployed_direction
     if cfg.evict_by_sampling:
-        # Window bookkeeping is stateful mid-window; keep it scalar.
-        return _scalar_segment(ctrl, taken, instrs, i, limit)
-
-    # Saturating-counter eviction: floored random walk with carry-in.
-    correct_vec = taken[i:limit] == ctrl._deployed_direction
-    c = int(correct_vec.sum())
-    if c == span:
-        # All correct — the walk only decays; no eviction possible and
-        # the floored endpoint is order-independent.
-        ctrl.correct += span
-        ctrl._counter = max(0, ctrl._counter - span * cfg.correct_decrement)
-        ctrl.exec_count += span
-        return span, 0, limit
-    steps = np.where(correct_vec, -cfg.correct_decrement,
-                     cfg.misspec_increment).astype(np.int64)
-    cum = np.cumsum(steps) + ctrl._counter
-    walk = cum - np.minimum.accumulate(np.minimum(cum, 0))
-    hits = np.flatnonzero(walk >= cfg.evict_counter_max)
-    if len(hits) == 0:
-        x = span - c
-        ctrl.correct += c
-        ctrl.incorrect += x
-        ctrl._counter = int(walk[-1])
-        ctrl.exec_count += span
-        return c, x, limit
-    r = int(hits[0])
-    c = int(correct_vec[:r + 1].sum())
-    x = (r + 1) - c
+        cc = np.zeros(span + 1, dtype=np.int64)
+        np.cumsum(hit, out=cc[1:])
+        first, ctrl._window_pos, ctrl._window_correct = sample_scan(
+            cc, 0, span, True, ctrl._window_pos, ctrl._window_correct, cfg)
+    else:
+        first, ctrl._counter = floored_walk(hit, ctrl._counter, cfg)
+    m = span if first == NEVER else first + 1
+    c = int(np.count_nonzero(hit[:m]))
     ctrl.correct += c
-    ctrl.incorrect += x
-    ctrl._counter = min(cfg.evict_counter_max, int(walk[r]))
-    ctrl.exec_count += r + 1
-    ctrl._evict(ctrl.exec_count - 1, int(instrs[i + r]))
-    return c, x, i + r + 1
+    ctrl.incorrect += m - c
+    ctrl.exec_count += m
+    if first != NEVER:
+        ctrl._evict(ctrl.exec_count - 1, int(instrs[i + first]))
+    return c, m - c, i + m

@@ -520,10 +520,7 @@ class SpeculationService:
         if self._quiescing:
             # A snapshot is quiescing the service; intake reopens once
             # it is written.  Backpressure keeps retries idempotent.
-            deepest = max(range(len(self._queued_events)),
-                          key=self._queued_events.__getitem__)
-            raise BackpressureError(deepest, self._queued_events[deepest],
-                                    self._retry_after(deepest))
+            raise self._backpressure()
         tm = self._tenants
         if tm is None and batch.tenants is not None:
             # First tenant-bearing batch on an unconfigured service:
@@ -543,11 +540,7 @@ class SpeculationService:
                 # The tenant's controllers are mid-extraction in the
                 # shard queues; admitting more of its events would race
                 # the spill.  Same retryable signal as a full queue.
-                deepest = max(range(len(self._queued_events)),
-                              key=self._queued_events.__getitem__)
-                raise BackpressureError(
-                    deepest, self._queued_events[deepest],
-                    self._retry_after(deepest))
+                raise self._backpressure()
         spans = self.spans
         t_submit = monotonic() if spans is not None else 0.0
         cap = self.service_config.queue_events
@@ -642,6 +635,13 @@ class SpeculationService:
         finally:
             timer.cancel()
 
+    def _backpressure(self) -> BackpressureError:
+        """A retryable rejection against the deepest shard queue."""
+        deepest = max(range(len(self._queued_events)),
+                      key=self._queued_events.__getitem__)
+        return BackpressureError(deepest, self._queued_events[deepest],
+                                 self._retry_after(deepest))
+
     def _retry_after(self, shard: int) -> float:
         rate = self.telemetry.drain_rate
         if rate <= 0:
@@ -683,6 +683,27 @@ class SpeculationService:
         if self._fatal is None:
             self._fatal = err
         return err
+
+    def _abandon_shard(self, shard_index: int, err: WorkerDiedError,
+                       dequeued: int) -> None:
+        """Latch a worker death and release the shard's joiners.
+
+        Its events can never be applied, so the ``dequeued`` items in
+        hand and everything still queued are marked done and accounted
+        out of the queue.
+        """
+        self._set_fatal(err)
+        queue = self._queues[shard_index]
+        for _ in range(dequeued):
+            queue.task_done()
+        while True:
+            try:
+                queue.get_nowait()
+            except asyncio.QueueEmpty:
+                break
+            queue.task_done()
+        self._queued_events[shard_index] = 0
+        self._capacity[shard_index].set()
 
     # -- shard workers --------------------------------------------------
     async def _worker(self, shard_index: int) -> None:
@@ -726,19 +747,8 @@ class SpeculationService:
                     result = await self._pool.apply(shard_index, pcs,
                                                     taken, instrs)
                 except WorkerDiedError as err:
-                    self._set_fatal(err)
-                    # Release joiners: this shard's events can never be
-                    # applied, so account them out of the queue.
-                    for _ in (*parts, *jobs):
-                        queue.task_done()
-                    while True:
-                        try:
-                            queue.get_nowait()
-                        except asyncio.QueueEmpty:
-                            break
-                        queue.task_done()
-                    self._queued_events[shard_index] = 0
-                    self._capacity[shard_index].set()
+                    self._abandon_shard(shard_index, err,
+                                        len(parts) + len(jobs))
                     return
                 shard.absorb(result)
             else:
@@ -746,13 +756,13 @@ class SpeculationService:
             depth = self._queued_events[shard_index] - events
             self._queued_events[shard_index] = depth
             self._capacity[shard_index].set()
+            self.telemetry.record_apply(
+                shard_index, events, result.correct, result.incorrect,
+                depth,
+                apply_seconds=result.apply_seconds if scfg.obs else None,
+                col_fast=result.col_fast, col_fallback=result.col_fallback,
+                col_single=result.col_single)
             if scfg.obs:
-                self.telemetry.record_apply(
-                    shard_index, events, result.correct, result.incorrect,
-                    depth, apply_seconds=result.apply_seconds,
-                    col_fast=result.col_fast,
-                    col_fallback=result.col_fallback,
-                    col_single=result.col_single)
                 if spans is not None:
                     t_ret = monotonic()
                     # Worker stamps share CLOCK_MONOTONIC with ours, so
@@ -780,12 +790,6 @@ class SpeculationService:
                                       int(instrs[-1]))
                 if result.transitions:
                     self.trace.extend(result.transitions)
-            else:
-                self.telemetry.record_apply(
-                    shard_index, events, result.correct, result.incorrect,
-                    depth, col_fast=result.col_fast,
-                    col_fallback=result.col_fallback,
-                    col_single=result.col_single)
             # Adapt the coalescing target to the observed queue depth.
             if depth >= target and target < scfg.max_batch_events:
                 self._targets[shard_index] = min(
@@ -807,8 +811,8 @@ class SpeculationService:
                                jobs: list[_TenantJob]) -> bool:
         """Run dequeued spill/restore control jobs on one shard.
 
-        Marks each job done on the queue; returns False after latching
-        a fatal worker death (mirroring the apply path's cleanup).
+        Marks each job done on the queue; returns False after a worker
+        death (:meth:`_abandon_shard`, as on the apply path).
         """
         queue = self._queues[shard_index]
         shard = self.bank.shards[shard_index]
@@ -836,17 +840,7 @@ class SpeculationService:
                     else:
                         shard.restore_tenant(job.states)
             except WorkerDiedError as err:
-                self._set_fatal(err)
-                for _ in jobs[i:]:
-                    queue.task_done()
-                while True:
-                    try:
-                        queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    queue.task_done()
-                self._queued_events[shard_index] = 0
-                self._capacity[shard_index].set()
+                self._abandon_shard(shard_index, err, len(jobs) - i)
                 return False
             queue.task_done()
         self._capacity[shard_index].set()

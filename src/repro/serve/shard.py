@@ -11,10 +11,13 @@ shards keyed by a hash of the branch PC.  Sharding buys two things:
   an N×-longer stretch of the trace for the same event count, so each
   branch contributes longer runs and the columnar cross-branch
   engine (:mod:`repro.serve.colpath`) amortizes its per-batch
-  overhead better.  Under a bursting producer this outweighs the
-  routing cost even on one core — modestly; the real scaling headroom
-  is that shards share nothing and can move to worker processes (see
-  ``benchmarks/bench_serve.py`` and docs/serving.md).
+  overhead better.
+
+Sharding exists for worker processes: shards share nothing, so each
+can run in its own process (see ``benchmarks/bench_serve.py`` and
+docs/serving.md).  In one process the denser batches do not pay for
+the routing — four in-process shards use about 1.8× the CPU of one —
+so the in-process service runs one shard by default.
 
 Routing uses a SplitMix64 finalizer rather than ``pc % n_shards``:
 static branch ids (or real branch addresses) are clustered and stride-

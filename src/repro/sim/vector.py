@@ -9,11 +9,15 @@ changes state a handful of times, so each state can be resolved with a
 few numpy scans instead of a per-event Python loop:
 
 * a monitor period is one slice-sum;
-* the continuous eviction point is the first crossing of a
-  floored-at-zero random walk, computed with ``cumsum`` plus a running
-  minimum (for a walk clamped below at zero,
-  ``c_j = S_j - min(0, min_{i<=j} S_i)`` exactly);
-* sampling eviction reduces each sample window with one gather.
+* an episode's eviction point is one call of the shared eviction
+  kernels in :mod:`repro.core.kernels` over the branch's whole
+  remaining future: the first ceiling crossing of the floored-at-zero
+  counter walk (:func:`~repro.core.kernels.floored_walk`), or the first
+  failing sample under eviction by sampling
+  (:func:`~repro.core.kernels.sample_scan`, one difference of the
+  branch's taken prefix sum per completed sample);
+* a deployment lands one ``searchsorted`` after its decision stamp
+  (:func:`~repro.core.kernels.deploy_delay`).
 
 The engine is property-tested for exact agreement with the reference
 per-event engine (:mod:`repro.sim.engine`) and is 1-2 orders of
@@ -25,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import ControllerConfig
+from repro.core.kernels import NEVER, deploy_delay, floored_walk, sample_scan
 from repro.core.states import BranchState, Transition, TransitionKind
 from repro.core.stats import collect_transition_stats
 from repro.sim.metrics import SpeculationMetrics
@@ -32,49 +37,6 @@ from repro.sim.summary import BranchSummary, ReactiveRunResult
 from repro.trace.stream import Trace
 
 __all__ = ["run_vector", "simulate_branch", "speculation_flags"]
-
-
-def _lands_at(instr_b: np.ndarray, decision_instr: int, latency: int) -> int:
-    """First execution index at which a re-optimization requested at
-    ``decision_instr`` has landed (global stamps strictly increase, so a
-    zero-latency request still only affects the next execution)."""
-    when = decision_instr + (latency if latency > 0 else 1)
-    return int(np.searchsorted(instr_b, when, side="left"))
-
-
-def _counter_evict_index(correct: np.ndarray,
-                         cfg: ControllerConfig) -> int | None:
-    """Relative index of the eviction decision under the saturating
-    counter, or None if the counter never saturates."""
-    if len(correct) == 0:
-        return None
-    steps = np.where(correct, -cfg.correct_decrement,
-                     cfg.misspec_increment).astype(np.int64)
-    cumulative = np.cumsum(steps)
-    floor = np.minimum.accumulate(np.minimum(cumulative, 0))
-    walk = cumulative - floor
-    hits = np.flatnonzero(walk >= cfg.evict_counter_max)
-    return int(hits[0]) if len(hits) else None
-
-
-def _sampling_evict_index(correct: np.ndarray,
-                          cfg: ControllerConfig) -> int | None:
-    """Relative index of the eviction decision under periodic
-    re-sampling, or None if no completed sample window falls below the
-    eviction bias threshold."""
-    m = len(correct)
-    period, sample_len = cfg.evict_sample_period, cfg.evict_sample_len
-    if m < sample_len:
-        return None
-    n_windows = (m - sample_len) // period + 1
-    offsets = (np.arange(n_windows, dtype=np.int64) * period)[:, None]
-    window_idx = offsets + np.arange(sample_len, dtype=np.int64)[None, :]
-    window_correct = correct[window_idx].sum(axis=1)
-    bad = np.flatnonzero(window_correct / sample_len
-                         < cfg.evict_bias_threshold)
-    if len(bad) == 0:
-        return None
-    return int(bad[0]) * period + sample_len - 1
 
 
 def simulate_branch(branch: int, taken: np.ndarray, instr: np.ndarray,
@@ -95,6 +57,8 @@ def _simulate_branch(branch: int, taken: np.ndarray, instr: np.ndarray,
     """As :func:`simulate_branch`, also returning the speculation
     intervals ``[(start_exec, end_exec, direction), ...]``."""
     n = len(taken)
+    delay = deploy_delay(cfg)
+    tc = None                   # exclusive taken prefix sum (sampling)
     transitions: list[Transition] = []
     intervals: list[tuple[int, int, bool]] = []  # [start, end) spec window
     entries = 0
@@ -126,8 +90,8 @@ def _simulate_branch(branch: int, taken: np.ndarray, instr: np.ndarray,
                 entries += 1
                 transitions.append(Transition(
                     branch, TransitionKind.SELECT, decision, decision_instr))
-                episode_start = _lands_at(instr, decision_instr,
-                                          cfg.optimization_latency)
+                episode_start = int(np.searchsorted(
+                    instr, decision_instr + delay))
                 episode_dir = direction
                 state = BranchState.BIASED
             else:
@@ -140,15 +104,18 @@ def _simulate_branch(branch: int, taken: np.ndarray, instr: np.ndarray,
             start = episode_start
             if start >= n:
                 break  # speculative code lands after the run ends
-            correct = taken[start:] == episode_dir
             if not cfg.eviction_enabled:
                 intervals.append((start, n, episode_dir))
                 break
             if cfg.evict_by_sampling:
-                rel = _sampling_evict_index(correct, cfg)
+                if tc is None:
+                    tc = np.zeros(n + 1, dtype=np.int64)
+                    np.cumsum(taken, out=tc[1:])
+                rel, _, _ = sample_scan(tc, start, n - start, episode_dir,
+                                        0, 0, cfg)
             else:
-                rel = _counter_evict_index(correct, cfg)
-            if rel is None:
+                rel, _ = floored_walk(taken[start:] == episode_dir, 0, cfg)
+            if rel == NEVER:
                 intervals.append((start, n, episode_dir))
                 break
             evict_at = start + rel
@@ -156,7 +123,7 @@ def _simulate_branch(branch: int, taken: np.ndarray, instr: np.ndarray,
             evictions += 1
             transitions.append(Transition(
                 branch, TransitionKind.EVICT, evict_at, evict_instr))
-            lands = _lands_at(instr, evict_instr, cfg.optimization_latency)
+            lands = int(np.searchsorted(instr, evict_instr + delay))
             intervals.append((start, min(lands, n), episode_dir))
             state = BranchState.MONITOR
             pos = evict_at + 1

@@ -101,8 +101,11 @@ def test_chunked_equals_scalar_across_phases(config_name, seed):
     assert (fast.correct, fast.incorrect) == (ref.correct, ref.incorrect)
 
 
-def test_single_whole_trace_chunk_equals_scalar():
-    config = CONFIGS["tiny-latency"]
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_single_whole_trace_chunk_equals_scalar(config_name):
+    # One chunk is one long segment per FSM state: the single-segment
+    # kernel calls run_vector makes too.
+    config = CONFIGS[config_name]
     taken, instrs = _branch_events(400, 7, [0.99, 0.3, 0.97])
     ref, ref_c, ref_x = _scalar_run(config, taken, instrs)
     fast = ReactiveBranchController(config, branch=1)
