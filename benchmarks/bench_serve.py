@@ -84,7 +84,6 @@ def test_overload_burst_stays_bounded(benchmark, trace, offline_metrics):
     def burst():
         async def run():
             scfg = ServiceConfig(n_shards=4, queue_events=queue_events,
-                                 min_batch_events=256,
                                  max_batch_events=2048)
             async with SpeculationService(scaled_config(), scfg) as service:
                 # Probe the drain rate on a prefix, then replay the

@@ -11,15 +11,21 @@ once).  The arithmetic they share lives here and nowhere else:
 
 * :func:`deploy_delay` — when a scheduled re-optimization lands;
 * :func:`classify_split` — the bias test that ends a monitor period;
-* :func:`floored_walk` — eviction by the saturating counter (Table 2);
-* :func:`sample_scan` — eviction by periodic re-sampling (Table 4).
+* :func:`floored_walk` / :func:`miss_walk` — eviction by the
+  saturating counter (Table 2), over one segment's executions or over
+  many segments' misses;
+* :func:`sample_scan` — eviction by periodic re-sampling (Table 4);
+* :func:`residue_cumsum` / :func:`residue_count` — the taken tally of
+  a monitor that samples every ``monitor_sample_stride``-th execution
+  (Table 4), one prefix sum per residue class.
 
 Both eviction kernels take the state carried in from earlier
 executions, resolve a run of *engaged* executions (the episode's code
 is deployed, so the eviction arc is live), and return the offset of
 the evicting execution — :data:`NEVER` when none evicts — with the
-state after the run.  Called with scalars they resolve one segment;
-called with arrays, many segments of one flat buffer at once.
+state after the run: one segment with scalars, many segments of one
+flat buffer at once with arrays (:func:`sample_scan`, or
+:func:`miss_walk` for the counter).
 ``tests/core/test_kernels.py`` checks each against the scalar
 controller driven one execution at a time.
 """
@@ -31,7 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["NEVER", "Segments", "segments", "deploy_delay",
-           "classify_split", "floored_walk", "sample_scan"]
+           "classify_split", "floored_walk", "miss_walk", "residue_cumsum",
+           "residue_count", "sample_scan"]
 
 #: "Nothing scheduled" offset, execution index or stamp: far beyond any
 #: real count, safely below int64 overflow under ``exec + batch_len``.
@@ -87,9 +94,9 @@ def classify_split(taken_counts: np.ndarray, samples: np.ndarray,
     return select, ~biased, disable, direction
 
 
-def floored_walk(hit: np.ndarray, carry, cfg, segs: Segments | None = None,
-                 prefix=None):
-    """Saturating-counter eviction; returns ``(first, end)``.
+def floored_walk(hit: np.ndarray, carry: int, cfg) -> tuple[int, int]:
+    """Saturating-counter eviction over one segment; returns ``(first,
+    end)``.
 
     The counter falls by ``correct_decrement`` on each correct
     speculation (``hit``) and rises by ``misspec_increment`` on each
@@ -97,46 +104,67 @@ def floored_walk(hit: np.ndarray, carry, cfg, segs: Segments | None = None,
     a walk floored at zero that starts at ``carry >= 0``,
     ``c_j = S_j - min(0, min_{i<=j} S_i)`` exactly, where ``S_j`` is
     ``carry`` plus the first ``j + 1`` steps, so a cumsum and a running
-    minimum resolve a whole segment.
-
-    With ``segs`` None, ``hit`` is one non-empty segment, walked whole,
-    ``carry`` is an int and so are the results.  Otherwise ``hit`` is
-    the flat buffer ``segs`` cuts, ``carry`` and ``prefix`` are
-    per-segment arrays, each segment counts only its first ``prefix``
-    executions, and the results are arrays; each segment is shifted
-    below the previous one's range so that one global running minimum
-    cannot leak across segments.
+    minimum resolve the non-empty segment ``hit``.
 
     ``first`` is the offset of the first execution at which the counter
     reaches the ceiling, or :data:`NEVER`.  ``end`` is the counter after
-    ``min(first + 1, prefix)`` executions: the ceiling after a
-    crossing, as the controller saturates there.
+    the segment, or the ceiling after a crossing, as the controller
+    saturates there.  :func:`miss_walk` is the many-segment form.
     """
-    cmax = cfg.evict_counter_max
-    if segs is None:
-        n_hit = np.count_nonzero(hit)
-        if n_hit == len(hit):
-            # Only decays: no crossing, and the endpoint is closed-form.
-            return NEVER, max(0, carry - n_hit * cfg.correct_decrement)
-        cum = np.cumsum(np.where(hit, -cfg.correct_decrement,
-                                 cfg.misspec_increment))
-        if carry:
-            cum += carry
-        walk = cum - np.minimum(np.minimum.accumulate(cum), 0)
-        over = walk >= cmax
-        first = int(over.argmax())
-        if over[first]:
-            return first, cmax
-        return NEVER, int(walk[-1])
-    base, seg, pos = segs
-    steps = np.where(hit, -cfg.correct_decrement, cfg.misspec_increment)
+    n_hit = np.count_nonzero(hit)
+    if n_hit == len(hit):
+        # Only decays: no crossing, and the endpoint is closed-form.
+        return NEVER, max(0, carry - n_hit * cfg.correct_decrement)
+    cum = np.cumsum(np.where(hit, -cfg.correct_decrement,
+                             cfg.misspec_increment))
+    if carry:
+        cum += carry
+    walk = cum - np.minimum(np.minimum.accumulate(cum), 0)
+    over = walk >= cfg.evict_counter_max
+    first = int(over.argmax())
+    if over[first]:
+        return first, cfg.evict_counter_max
+    return NEVER, int(walk[-1])
+
+
+def miss_walk(x: np.ndarray, length: np.ndarray, carry: np.ndarray, cfg,
+              segs: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """Saturating-counter eviction over many segments, visiting only
+    their misses; returns ``(first, end)``.
+
+    Between misses the counter only decays, and a run of ``g`` decays
+    floored at zero is one step of ``-g * correct_decrement`` floored
+    at zero, so a segment of ``length`` executions is fully described
+    by the offsets ``x`` of its misses (ascending).  ``segs`` cuts the
+    flat ``x`` into segments of at least one miss each; ``carry`` is
+    each segment's counter on entry (below the ceiling).  The walk of
+    :func:`floored_walk` then runs over two steps per miss, each
+    segment shifted below the previous one's range so that one global
+    running minimum cannot leak across segments.  The cost is linear in
+    the misses, not in the executions.
+
+    ``first`` is the offset of the miss at which the counter reaches
+    the ceiling, or :data:`NEVER`; ``end`` is the counter after the
+    whole segment, or the ceiling after a crossing.
+    """
+    base, seg, _ = segs
+    dec = cfg.correct_decrement
+    gaps = np.diff(x, prepend=-1) - 1   # correct executions before a miss
+    gaps[base] = x[base]
+    steps = np.empty(2 * len(x), dtype=np.int64)
+    steps[0::2] = -dec * gaps
+    steps[1::2] = cfg.misspec_increment
+    base2 = 2 * base
+    seg2 = np.repeat(seg, 2)
     cum = np.cumsum(steps)
-    cum += (carry - (cum[base] - steps[base]))[seg]
-    shift = seg * (int(cum.max()) - int(cum.min()) + 1)
-    walk = cum - np.minimum(np.minimum.accumulate(cum - shift) + shift, 0)
-    crossing = (walk >= cmax) & (pos < prefix[seg])
-    first = np.minimum.reduceat(np.where(crossing, pos, NEVER), base)
-    end = np.where(prefix > 0, walk[base + np.maximum(prefix, 1) - 1], carry)
+    cum += (carry - (cum[base2] - steps[base2]))[seg2]
+    shift = seg2 * (int(cum.max()) - int(cum.min()) + 1)
+    walk = (cum - np.minimum(np.minimum.accumulate(cum - shift) + shift,
+                             0))[1::2]
+    cmax = cfg.evict_counter_max
+    first = np.minimum.reduceat(np.where(walk >= cmax, x, NEVER), base)
+    last = np.append(base[1:], len(x)) - 1
+    end = np.maximum(walk[last] - dec * (length - x[last] - 1), 0)
     return first, np.where(first != NEVER, cmax, end)
 
 
@@ -145,6 +173,31 @@ def _correct(tc: np.ndarray, lo, hi, direction):
     from the buffer's exclusive taken prefix sum ``tc``."""
     taken = tc[hi] - tc[lo]
     return np.where(direction, taken, hi - lo - taken)
+
+
+def residue_cumsum(values: np.ndarray, stride: int) -> np.ndarray:
+    """Exclusive prefix sums of ``values`` within each residue class.
+
+    Entry ``q * stride + r`` of the result is the sum of ``values[j]``
+    over ``j < q * stride`` with ``j % stride == r``: the buffer padded
+    to a multiple of ``stride``, viewed as ``(-1, stride)`` and summed
+    down its columns behind a zero row.  :func:`residue_count` reads a
+    strided window's sum from it in O(1).
+    """
+    n = len(values)
+    out = np.zeros((-(-n // stride) + 1) * stride, dtype=np.int64)
+    body = out[stride:].reshape(-1, stride)
+    out[stride:stride + n] = values
+    np.cumsum(body, axis=0, out=body)
+    return out
+
+
+def residue_count(rc: np.ndarray, stride: int, lo, hi, residue):
+    """Sum of ``values[j]`` over ``lo <= j < hi`` with ``j % stride ==
+    residue``, from ``rc = residue_cumsum(values, stride)``."""
+    first = (lo - residue + stride - 1) // stride
+    stop = (hi - residue + stride - 1) // stride
+    return rc[stop * stride + residue] - rc[first * stride + residue]
 
 
 def sample_scan(tc: np.ndarray, start, prefix, direction, win_pos,

@@ -27,10 +27,10 @@ Three inputs, all read-only with respect to controller state:
   from the bank's own ``exec`` column, so the onset shares the
   controller's absolute 0-based ``exec_index`` timebase in every mode —
   in-process, worker processes, and after a snapshot restore for PCs
-  selected after the restore.  A PC selected before the snapshot yields
-  no sample (the watch is not part of snapshot state), and outcomes in
-  the *same* micro-batch as the SELECT are not flip-checked: a flip
-  inside the SELECT batch is attributed to the next batch.
+  selected after the restore.  The onset is the first outcome after
+  the SELECT against the direction it deployed, wherever batches are
+  cut.  A PC selected before the snapshot yields no sample (the watch
+  is not part of snapshot state).
 * :meth:`MisspecDetector.observe_apply` — per-apply aggregate counts
   (events, correct, incorrect) plus the instruction span, feeding the
   sliding window (misspec rate, misspec-per-kilo-instruction).

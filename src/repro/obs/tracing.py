@@ -31,9 +31,11 @@ shards, workers, and restarts.
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -121,7 +123,11 @@ class TransitionTrace:
             raise ValueError("sample must be positive (1 = trace all PCs)")
         self.capacity = capacity
         self.sample = sample
-        self._ring: deque[TraceRecord] = deque(maxlen=capacity)
+        #: The ring, by column: record ``seq`` keeps its pc, arc code,
+        #: exec index and instruction stamp in slot ``seq % capacity``,
+        #: so recording allocates no object per arc (the records, read
+        #: rarely, are built on read).
+        self._ring = np.zeros((4, capacity), dtype=np.int64)
         self._lock = threading.Lock()
         self._next_seq = 0
         self._arc_counts = dict.fromkeys(ARCS, 0)
@@ -142,20 +148,7 @@ class TransitionTrace:
     def record(self, pc: int, arc: int | str, exec_index: int,
                instr: int) -> None:
         """Record one arc firing (``arc`` by name or wire code)."""
-        name = ARCS[arc] if isinstance(arc, int) else arc
-        with self._lock:
-            self._arc_counts[name] += 1
-        if self._counters is not None:
-            self._counters[name].inc()
-        if not self.traced(pc):
-            return
-        from_state, to_state = ARC_ENDPOINTS[name]
-        with self._lock:
-            self._ring.append(TraceRecord(
-                seq=self._next_seq, pc=pc, arc=name,
-                from_state=from_state, to_state=to_state,
-                exec_index=exec_index, instr=instr))
-            self._next_seq += 1
+        self._fold(((pc, arc, exec_index, instr),))
 
     def add_listener(self, listener) -> None:
         """Register a callable invoked from :meth:`extend` with each
@@ -169,17 +162,44 @@ class TransitionTrace:
                ) -> None:
         """Record a batch of ``(pc, arc_code, exec_index, instr)``
         tuples — the shape :class:`~repro.serve.shard.ShardApplyResult`
-        carries."""
-        if self._listeners:
-            transitions = tuple(transitions)
-            for listener in self._listeners:
-                listener(transitions)
-        for pc, code, exec_index, instr in transitions:
-            self.record(pc, code, exec_index, instr)
+        carries.
+
+        Equivalent to :meth:`record` per tuple, in order, but takes the
+        lock once and bumps each arc kind's counter once per batch.
+        """
+        transitions = tuple(transitions)
+        for listener in self._listeners:
+            listener(transitions)
+        self._fold(transitions)
+
+    def _fold(self, transitions: tuple) -> None:
+        """Count every arc of ``transitions`` and ring the traced ones,
+        under one lock."""
+        if not transitions:
+            return
+        codes = [code if isinstance(code, int) else ARC_CODE[code]
+                 for _, code, _, _ in transitions]
+        counts = Counter(codes)
+        kept = [(t[0], code, t[2], t[3])
+                for t, code in zip(transitions, codes) if self.traced(t[0])]
+        with self._lock:
+            for code, k in counts.items():
+                self._arc_counts[ARCS[code]] += k
+            if kept:
+                # Records that would fall off before the batch ends are
+                # only numbered.
+                last = kept[-self.capacity:]
+                seq = self._next_seq + len(kept) - len(last)
+                slots = np.arange(seq, seq + len(last)) % self.capacity
+                self._ring[:, slots] = np.array(last, dtype=np.int64).T
+                self._next_seq += len(kept)
+        if self._counters is not None:
+            for code, k in counts.items():
+                self._counters[ARCS[code]].inc(k)
 
     # -- views ----------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._ring)
+        return min(self._next_seq, self.capacity)
 
     @property
     def total_recorded(self) -> int:
@@ -190,19 +210,29 @@ class TransitionTrace:
         with self._lock:
             return dict(self._arc_counts)
 
-    def records(self) -> list[TraceRecord]:
+    def _read(self, pc: int | None = None) -> list[TraceRecord]:
+        """The ring's records (of ``pc`` only, if given), oldest first."""
         with self._lock:
-            return list(self._ring)
+            seqs = np.arange(max(0, self._next_seq - self.capacity),
+                             self._next_seq)
+            cols = self._ring[:, seqs % self.capacity]
+        if pc is not None:
+            mine = cols[0] == pc
+            seqs, cols = seqs[mine], cols[:, mine]
+        return [TraceRecord(seq, key, ARCS[code],
+                            *ARC_ENDPOINTS[ARCS[code]], exec_index, instr)
+                for seq, key, code, exec_index, instr
+                in zip(seqs.tolist(), *cols.tolist())]
+
+    def records(self) -> list[TraceRecord]:
+        return self._read()
 
     def tail(self, n: int = 20) -> list[TraceRecord]:
-        with self._lock:
-            if n >= len(self._ring):
-                return list(self._ring)
-            return list(self._ring)[-n:]
+        records = self._read()
+        return records if n >= len(records) else records[-n:]
 
     def for_pc(self, pc: int) -> list[TraceRecord]:
-        with self._lock:
-            return [r for r in self._ring if r.pc == pc]
+        return self._read(pc)
 
     def snapshot_doc(self, pc: int | None = None,
                      n: int | None = None) -> dict:

@@ -20,19 +20,23 @@ rows:
 
 * **split** — every active row's next boundary offset is computed in
   array code: the classify/revisit fire from the ``next_fire`` column,
-  the pending-landing offset by counting the window's instruction
-  stamps below the ``land`` column (a segmented ``add.reduceat``), and
-  the eviction arc's exact offset for every engaged episode at once,
-  from the segmented forms of the shared eviction kernels in
-  :mod:`repro.core.kernels` — the floored counter walk
-  (:func:`~repro.core.kernels.floored_walk`) or the sample-window
-  completion scan (:func:`~repro.core.kernels.sample_scan`), which
-  also yield the counter or window state the prefix ends in;
+  the pending-landing offset from one ``searchsorted`` of the ``land``
+  column over the batch's instruction stamps (rebased per segment so
+  they sort across segments), and the eviction arc's exact offset for
+  every engaged episode at once, from the many-segment forms of the
+  shared eviction kernels in :mod:`repro.core.kernels` — the floored
+  counter walk over each window's misses only
+  (:func:`~repro.core.kernels.miss_walk`, at most a doubling horizon
+  of misses per round) or the sample-window completion scan
+  (:func:`~repro.core.kernels.sample_scan`), which also yield the
+  counter or window state the prefix ends in;
 * **advance** — the pre-boundary prefix of every row moves with the
   columnar kernels: one batch-global prefix sum of outcomes yields any
   window's taken count in O(1), driving execution counts, monitor
-  tallies (a strided gather over the window when the monitor samples
-  every ``monitor_sample_stride``-th execution), outcome accounting
+  tallies (when the monitor samples every
+  ``monitor_sample_stride``-th execution, two lookups in one
+  per-batch prefix sum per residue class,
+  :func:`~repro.core.kernels.residue_cumsum`), outcome accounting
   against the deployed direction, and the counter's closed-form decay
   over a miss-free window;
 * **fire** — rows that reached a boundary apply the transition as a
@@ -45,19 +49,27 @@ rows:
   the loop then iterates on each row's remaining suffix until every
   segment is consumed.
 
-With ``capture`` on, a **flip watch** brackets the rounds for the
+No split or advance step reads a window element by element: landings,
+strided tallies and miss-free windows cost O(1) or O(log n) per row,
+and the eviction walk gathers misses, not executions
+(``events_scanned`` in :meth:`ColumnarBank.stats` counts them).  So a
+row's cost does not grow with its window, and the per-event cost keeps
+falling as batches grow.
+
+With ``capture`` on, a **flip watch** runs beside the rounds for the
 misspeculation detector (:mod:`repro.obs.detect`): two observer
 columns (``flip_dir``, ``flip_onset``) record, from the row's own
 ``exec`` count, the execution index of a selected branch's first
-outcome against its trained direction, and each EVICT arc that closes
-a watch with an onset yields a ``(pc, time_to_evict)`` sample.  They
-never feed the FSM.
+outcome against the direction its SELECT deployed, and each EVICT arc
+that closes a watch with an onset yields a ``(pc, time_to_evict)``
+sample.  A SELECT scans the rest of its segment and the next batches'
+segments until the onset, so the samples do not depend on where
+batches are cut.  The columns never feed the FSM.
 
 Every controller configuration resolves in these rounds.  Only
-single-branch batches take the per-branch engine
-(:meth:`_fallback_segment`, i.e. :func:`~repro.serve.fastpath.apply_chunk`),
-by design: there is nothing to amortize.  They are counted separately
-(``events_single``).
+single-branch batches with ``capture`` off take the per-branch engine
+(:func:`~repro.serve.fastpath.apply_chunk`), by design: there is
+nothing to amortize.  They are counted separately (``events_single``).
 
 The contract stays **bit-exactness**: rows are mirrors, the scalar
 :class:`~repro.core.controller.ReactiveBranchController` objects remain
@@ -80,7 +92,9 @@ from repro.core.kernels import (
     NEVER,
     classify_split,
     deploy_delay,
-    floored_walk,
+    miss_walk,
+    residue_count,
+    residue_cumsum,
     sample_scan,
     segments,
 )
@@ -115,9 +129,8 @@ _I8_COLS = ("state", "flip_dir")
 _BOOL_COLS = ("deployed", "dep_dir", "episode", "dirty", "dead")
 _COLS = ((_I64_COLS, np.int64), (_I8_COLS, np.int8), (_BOOL_COLS, bool))
 
-#: ``flip_dir`` codes: not watching, trained not-taken, trained taken,
-#: selected but direction not yet seen.
-_WATCH_OFF, _WATCH_NOT_TAKEN, _WATCH_TAKEN, _WATCH_UNSEEN = range(4)
+#: ``flip_dir`` codes: not watching, trained not-taken, trained taken.
+_WATCH_OFF, _WATCH_NOT_TAKEN, _WATCH_TAKEN = range(3)
 
 
 class ColumnarBank:
@@ -136,7 +149,8 @@ class ColumnarBank:
     __slots__ = ("config", "_scalars", "_decisions", "n_rows", "n_dead",
                  "_cap", "_keys", "_key_rows", "_tenant_index",
                  "rows_fast", "rows_single", "events_fast", "events_single",
-                 "arcs_fast", "lands_fast", "_parked_flips",
+                 "arcs_fast", "lands_fast", "events_scanned",
+                 "_parked_flips",
                  *_I64_COLS, *_I8_COLS, *_BOOL_COLS)
 
     def __init__(self, config: ControllerConfig, scalars: ControllerBank,
@@ -164,6 +178,7 @@ class ColumnarBank:
         self.events_single = 0
         self.arcs_fast = 0
         self.lands_fast = 0
+        self.events_scanned = 0
 
     # -- storage --------------------------------------------------------
     def _grow(self, capacity: int) -> None:
@@ -194,7 +209,10 @@ class ColumnarBank:
         scalar engine) is always 0 now that every configuration
         resolves columnar; the keys stay so the routing split keeps
         one schema.  ``arcs_fast``/``lands_fast`` count FSM arcs and
-        deployment landings resolved columnar.
+        deployment landings resolved columnar.  ``events_scanned``
+        counts events gathered one by one (the eviction walks over
+        miss-bearing windows); per event applied it must not grow with
+        the batch size.
         """
         return {
             "rows": self.n_rows,
@@ -207,6 +225,7 @@ class ColumnarBank:
             "events_single": self.events_single,
             "arcs_fast": self.arcs_fast,
             "lands_fast": self.lands_fast,
+            "events_scanned": self.events_scanned,
         }
 
     # -- interning ------------------------------------------------------
@@ -402,35 +421,13 @@ class ColumnarBank:
         self._rebuild_index()
 
     # -- the fast path --------------------------------------------------
-    def _fallback_segment(self, row: int, taken: np.ndarray,
-                          instrs: np.ndarray, capture: bool,
-                          changed: list[int],
-                          fired: list[tuple[int, int, int, int]],
-                          ) -> tuple[int, int]:
-        """One segment through the per-branch engine: flush the row,
-        :func:`apply_chunk` the scalar controller, re-import."""
-        pc = int(self.pc[row])
-        ctrl = self._scalars._controllers[pc]
-        if self.dirty[row]:
-            self._flush_row(row, ctrl)
-        before = ctrl._deployed
-        seen = len(ctrl.transitions) if capture else 0
-        c, x = apply_chunk(ctrl, taken, instrs)
-        if capture and len(ctrl.transitions) > seen:
-            fired.extend((pc, ARC_CODE[t.kind.value], t.exec_index, t.instr)
-                         for t in ctrl.transitions[seen:])
-        after = ctrl._deployed
-        if after != before:
-            self._decisions[pc] = after
-            changed.append(pc)
-        self._refresh_row(row, ctrl)
-        return c, x
-
     # -- batched boundary arcs ------------------------------------------
     def _fire_classify(self, crows: np.ndarray, fexec: np.ndarray,
                        finstr: np.ndarray, capture: bool,
-                       fired: list[tuple[int, int, int, int]]) -> None:
-        """Monitor period complete for ``crows``: classify each branch.
+                       fired: list[tuple[int, int, int, int]],
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Monitor period complete for ``crows``: classify each branch;
+        returns the SELECTed mask and the deployed directions.
 
         The bias decision is one vectorized pass
         (:func:`~repro.core.kernels.classify_split`); column updates
@@ -462,26 +459,21 @@ class ColumnarBank:
             self.state[r] = _DISABLED
             self.next_fire[r] = NEVER
         controllers = self._scalars._controllers
-        pc_col = self.pc
-        land_col = self.land
         delay = deploy_delay(cfg)
-        sel_l = select.tolist()
-        dis_l = disable.tolist()
-        dir_l = direction.tolist()
-        for j, row in enumerate(crows.tolist()):
-            pc = int(pc_col[row])
+        for row, pc, e, ins, sel, dis, d in zip(
+                crows.tolist(), self.pc[crows].tolist(), fexec.tolist(),
+                finstr.tolist(), select.tolist(), disable.tolist(),
+                direction.tolist()):
             ctrl = controllers[pc]
-            e = int(fexec[j])
-            ins = int(finstr[j])
-            if sel_l[j]:
+            if sel:
                 ctrl._bias_entries += 1
                 ctrl._episode_active = False
                 if not ctrl._pending:
-                    land_col[row] = ins + delay
-                ctrl._pending.append((ins + delay, True, dir_l[j]))
+                    self.land[row] = ins + delay
+                ctrl._pending.append((ins + delay, True, d))
                 ctrl.state = BranchState.BIASED
                 kind, code = TransitionKind.SELECT, _CODE_SELECT
-            elif dis_l[j]:
+            elif dis:
                 ctrl.state = BranchState.DISABLED
                 kind, code = TransitionKind.DISABLE, _CODE_DISABLE
             else:
@@ -492,6 +484,7 @@ class ColumnarBank:
             if capture:
                 fired.append((pc, code, e, ins))
         self.arcs_fast += int(crows.size)
+        return select, direction
 
     def _fire_revisit(self, rrows: np.ndarray, fexec: np.ndarray,
                       finstr: np.ndarray, capture: bool,
@@ -503,17 +496,15 @@ class ColumnarBank:
         self.mon_samples[rrows] = 0
         self.next_fire[rrows] = fexec + 1 + cfg.monitor_period
         controllers = self._scalars._controllers
-        pc_col = self.pc
-        for j, row in enumerate(rrows.tolist()):
-            pc = int(pc_col[row])
+        for pc, e, ins in zip(self.pc[rrows].tolist(), fexec.tolist(),
+                              finstr.tolist()):
             ctrl = controllers[pc]
-            e = int(fexec[j])
             ctrl.state = BranchState.MONITOR
             ctrl._state_entry_exec = e + 1
             ctrl.transitions.append(
-                Transition(pc, TransitionKind.REVISIT, e, int(finstr[j])))
+                Transition(pc, TransitionKind.REVISIT, e, ins))
             if capture:
-                fired.append((pc, _CODE_REVISIT, e, int(finstr[j])))
+                fired.append((pc, _CODE_REVISIT, e, ins))
         self.arcs_fast += int(rrows.size)
 
     def _fire_evict(self, erows: np.ndarray, fexec: np.ndarray,
@@ -528,18 +519,14 @@ class ColumnarBank:
         self.episode[erows] = False
         self.next_fire[erows] = fexec + 1 + cfg.monitor_period
         controllers = self._scalars._controllers
-        pc_col = self.pc
-        land_col = self.land
         delay = deploy_delay(cfg)
-        for j, row in enumerate(erows.tolist()):
-            pc = int(pc_col[row])
+        for row, pc, e, ins in zip(erows.tolist(), self.pc[erows].tolist(),
+                                   fexec.tolist(), finstr.tolist()):
             ctrl = controllers[pc]
-            e = int(fexec[j])
-            ins = int(finstr[j])
             ctrl.evictions += 1
             ctrl._episode_active = False
             if not ctrl._pending:
-                land_col[row] = ins + delay
+                self.land[row] = ins + delay
             ctrl._pending.append((ins + delay, False,
                                   ctrl._deployed_direction))
             ctrl.state = BranchState.MONITOR
@@ -551,65 +538,24 @@ class ColumnarBank:
         self.arcs_fast += int(erows.size)
 
     # -- flip watch ------------------------------------------------------
-    def _watch_flips(self, rows: np.ndarray, taken: np.ndarray,
-                     starts: np.ndarray, ends: np.ndarray,
-                     tc: np.ndarray | None) -> None:
-        """Pre-pass: find the flip onset of this batch's watched rows.
+    def _watch_flips(self, rows: np.ndarray, trained: np.ndarray,
+                     lo: np.ndarray, hi: np.ndarray, exec_lo: np.ndarray,
+                     taken: np.ndarray, tc: np.ndarray) -> None:
+        """Look for the flip onset of watched ``rows`` over their batch
+        positions ``[lo, hi)``, whose first is execution ``exec_lo``.
 
-        Runs before any advance, so ``exec`` is each row's execution
-        index at its segment start.  A row selected in an earlier batch
-        (code 3) takes its trained direction from the segment's taken
-        majority, ties counting as taken: a trained biased branch's
-        first post-select outcomes are its bias.  A segment holding an
-        outcome against the trained direction sets ``flip_onset`` to
-        that outcome's execution index and stops watching the row.
-        ``tc`` is the batch's exclusive taken prefix sum (built here
-        when None).
+        A row whose outcomes there hold one against its ``trained``
+        direction gets that outcome's execution index as its
+        ``flip_onset`` and stops being watched.  ``tc`` is the batch's
+        exclusive taken prefix sum.
         """
-        code = self.flip_dir[rows]
-        w = np.flatnonzero(code)
-        if not w.size:
-            return
-        if tc is None:
-            tc = np.zeros(len(taken) + 1, dtype=np.int64)
-            np.cumsum(taken, out=tc[1:])
-        s = starts[w]
-        n = ends[w] - s
-        n_taken = tc[s + n] - tc[s]
-        code = code[w]
-        unseen = code == _WATCH_UNSEEN
-        if unseen.any():
-            code[unseen] = np.where(2 * n_taken[unseen] >= n[unseen],
-                                    _WATCH_TAKEN, _WATCH_NOT_TAKEN)
-            self.flip_dir[rows[w]] = code
-        trained = code == _WATCH_TAKEN
-        hit = np.flatnonzero(np.where(trained, n - n_taken, n_taken))
-        for j in hit.tolist():
-            row = int(rows[w[j]])
-            lo = int(s[j])
-            off = int(np.argmax(taken[lo:lo + int(n[j])] != trained[j]))
-            self.flip_onset[row] = self.exec[row] + off
-            self.flip_dir[row] = _WATCH_OFF
-
-    def _close_flips(self, fired: list[tuple[int, int, int, int]],
-                     ) -> list[tuple[int, int]]:
-        """Post-pass over the batch's captured arcs, in order: SELECT
-        starts watching a row, EVICT stops and yields ``(pc,
-        time_to_evict)`` when a flip onset was seen."""
-        tte = []
-        for pc, code, exec_index, _ in fired:
-            if code != _CODE_SELECT and code != _CODE_EVICT:
-                continue
-            row = self._row_of(pc)
-            if code == _CODE_EVICT:
-                onset = int(self.flip_onset[row])
-                if onset >= 0:
-                    tte.append((pc, exec_index - onset))
-                self.flip_dir[row] = _WATCH_OFF
-            else:
-                self.flip_dir[row] = _WATCH_UNSEEN
-            self.flip_onset[row] = -1
-        return tte
+        n_taken = tc[hi] - tc[lo]
+        flipped = np.where(trained, hi - lo - n_taken, n_taken)
+        for j in np.flatnonzero(flipped).tolist():
+            a = int(lo[j])
+            off = int(np.argmax(taken[a:int(hi[j])] != trained[j]))
+            self.flip_onset[rows[j]] = exec_lo[j] + off
+            self.flip_dir[rows[j]] = _WATCH_OFF
 
     def apply_sorted(self, pcs: np.ndarray, taken: np.ndarray,
                      instrs: np.ndarray, starts: np.ndarray,
@@ -627,26 +573,28 @@ class ColumnarBank:
         arc that closed a watched row with an onset.  Must not be
         called with an empty batch.
         """
-        if len(starts) == 1:
+        if len(starts) == 1 and not capture:
             # Single-branch batch: there is nothing for the cross-
             # branch machinery to amortize, and its small-array kernel
             # launches cost more than the one apply_chunk call they
-            # would replace.
+            # would replace.  (The flip watch needs each SELECT's
+            # direction, which only the rounds see.)
             pc = int(pcs[0])
             row = self._row_of(pc)
             if row is None:
                 row = int(self._intern(pcs[:1].astype(np.int64))[0])
-            if capture and self.flip_dir[row]:
-                self._watch_flips(np.array([row]), taken, starts, ends,
-                                  None)
-            changed: list[int] = []
-            fired: list[tuple[int, int, int, int]] = []
-            c, x = self._fallback_segment(row, taken, instrs, capture,
-                                          changed, fired)
+            ctrl = self._scalars._controllers[pc]
+            if self.dirty[row]:
+                self._flush_row(row, ctrl)
+            before = ctrl._deployed
+            c, x = apply_chunk(ctrl, taken, instrs)
+            self._refresh_row(row, ctrl)
             self.rows_single += 1
             self.events_single += len(taken)
-            return (c, x, changed, fired,
-                    self._close_flips(fired) if capture else [])
+            if ctrl._deployed == before:
+                return c, x, [], [], []
+            self._decisions[pc] = ctrl._deployed
+            return c, x, [pc], [], []
         cfg = self.config
         rows = self._intern(pcs[starts].astype(np.int64))
         nseg = len(rows)
@@ -658,11 +606,17 @@ class ColumnarBank:
         # One batch-global exclusive prefix sum of outcomes: any
         # window's taken count is tc[end] - tc[start], O(1) per window.
         n = len(taken)
-        tc = np.empty(n + 1, dtype=np.int64)
-        tc[0] = 0
+        tc = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(taken, out=tc[1:])
+        tte: list[tuple[int, int]] = []
         if capture:
-            self._watch_flips(rows, taken, starts, ends, tc)
+            # Rows selected in an earlier batch and not yet flipped.
+            w = np.flatnonzero(self.flip_dir[rows])
+            if w.size:
+                wr = rows[w]
+                self._watch_flips(wr, self.flip_dir[wr] == _WATCH_TAKEN,
+                                  starts[w], ends[w], self.exec[wr], taken,
+                                  tc)
         cur = starts.astype(np.int64)
         seg_end = ends.astype(np.int64)
         seg_last = instrs[ends - 1]
@@ -671,10 +625,15 @@ class ColumnarBank:
         correct_delta = 0
         incorrect_delta = 0
         stride = cfg.monitor_sample_stride
-        strided = stride > 1
         evict_counter = cfg.eviction_enabled and not cfg.evict_by_sampling
         evict_sampling = cfg.eviction_enabled and cfg.evict_by_sampling
-        dec = cfg.correct_decrement
+        # Built on first use: the landing search key, the strided
+        # monitors' per-residue taken prefix sums and the exclusive
+        # not-taken count.
+        key = key_base = rc = ntc = None
+        # Misses each row's next eviction walk may visit (see below).
+        h0 = cfg.min_evictions_to_trigger
+        horizon = np.full(nseg, h0, dtype=np.int64)
         act = np.arange(nseg, dtype=np.int64)
         while act.size:
             arows = rows[act]
@@ -694,64 +653,74 @@ class ColumnarBank:
             m_fire = next_fire - exec0
             # Pending landing: fires *before* the first event whose
             # stamp reaches the land column (consumes no event).
-            due = land <= seg_last[act]
             m_land = rem.copy()
-            # Eviction-walk threshold crossing for engaged episodes.
+            due = np.flatnonzero(land <= seg_last[act])
+            if due.size:
+                if key is None:
+                    # Stamps rebased so each segment starts one past
+                    # the previous segment's last key: sorted across the
+                    # whole batch, so one search finds every landing.
+                    span = seg_last - instrs[starts] + 1
+                    key_base = np.cumsum(span) - span - instrs[starts]
+                    key = instrs + np.repeat(key_base, ends - starts)
+                m_land[due] = np.maximum(np.searchsorted(
+                    key, land[due] + key_base[act[due]]) - acur[due], 0)
+            # Eviction resolves up to the landing: no further than the
+            # row can advance this round.
+            reach = np.minimum(rem, m_land)
             if cfg.eviction_enabled:
                 engaged = (st == _BIASED) & self.episode[arows]
             else:
                 engaged = np.zeros(act.size, dtype=bool)
-            ct_win = tc[seg_end[act]] - tc[acur]
-            miss_win = np.where(dirs, rem - ct_win, ct_win)
-            # All-correct windows only decay the counter — closed form,
-            # no per-event scan needed.
-            need_walk = (engaged & (miss_win > 0) if evict_counter
-                         else np.zeros(act.size, dtype=bool))
             cross = np.full(act.size, NEVER, dtype=np.int64)
-            scan = due | need_walk
-            if strided:
-                # A strided monitor samples the executions whose offset
-                # from state entry (next_fire - monitor_period) is a
-                # multiple of the stride: its taken tally is a strided
-                # gather over the window.
-                mon_off = exec0 - (next_fire - cfg.monitor_period)
-                scan = scan | mon
-            if scan.any():
-                # Compact per-event view of just the windows that need
-                # an element-wise scan (landing searches, miss-bearing
-                # eviction walks, strided monitor gathers); everything
-                # else stays O(1)/row.
-                sidx = np.flatnonzero(scan)
-                segs = segments(rem[sidx])
-                base, seg_id, pos = segs
-                gidx = pos + acur[sidx][seg_id]
-                if due.any():
-                    # Stamps are sorted within a window, so the landing
-                    # offset is the count of stamps below the land mark.
-                    below = instrs[gidx] < land[sidx][seg_id]
-                    m_land[sidx] = np.add.reduceat(
-                        below.astype(np.int64), base)
+            # Furthest the row may advance: its segment, or a walk cut
+            # short at the row's horizon without a crossing.
+            limit = rem.copy()
+            decay = None
+            if evict_counter and engaged.any():
+                ct_reach = tc[acur + reach] - tc[acur]
+                miss = np.where(dirs, reach - ct_reach, ct_reach)
+                need_walk = engaged & (miss > 0)
+                # Miss-free windows only decay the counter: closed form.
+                decay = engaged & ~need_walk
                 if need_walk.any():
-                    # The walk stops at a landing; rows scanned for
-                    # another reason get an empty prefix.
-                    w = need_walk[sidx]
-                    first, end = floored_walk(
-                        taken[gidx] == dirs[sidx][seg_id], counter0[sidx],
-                        cfg, segs,
-                        np.where(w, np.minimum(rem[sidx], m_land[sidx]), 0))
-                    self.counter[arows[sidx[w]]] = end[w]
+                    # The walk visits misses only, at most the row's
+                    # horizon of them: the fewest that can evict at
+                    # first, doubled after each walk without a
+                    # crossing.  Misses past a crossing are gathered
+                    # for nothing, and this bounds them by what the
+                    # row walked before.
+                    w = np.flatnonzero(need_walk)
+                    aw = act[w]
+                    lo = acur[w]
+                    cnt = np.minimum(miss[w], horizon[aw])
+                    segs = segments(cnt)
+                    seg = segs.seg
+                    # The k-th miss from lo is where the exclusive miss
+                    # count (taken outcomes against a not-taken
+                    # deployment, not-taken ones against a taken one)
+                    # first passes its value at lo by k.
+                    x = np.empty(len(seg), dtype=np.int64)
+                    against_taken = dirs[w][seg]
+                    if ntc is None and against_taken.any():
+                        ntc = np.arange(n + 1) - tc
+                    for sel, mc in ((against_taken, ntc),
+                                    (~against_taken, tc)):
+                        if sel.any():
+                            x[sel] = np.searchsorted(
+                                mc, mc[lo[seg[sel]]] + segs.pos[sel] + 1) - 1
+                    x -= lo[seg]
+                    # A window cut at the horizon ends after its last
+                    # walked miss.
+                    cut = cnt < miss[w]
+                    p = np.where(cut, x[segs.base + cnt - 1] + 1, reach[w])
+                    first, self.counter[arows[w]] = miss_walk(
+                        x, p, counter0[w], cfg, segs)
                     found = first != NEVER
-                    cross[sidx[found]] = first[found] + 1
-                if strided and mon.any():
-                    # Exclusive prefix sum of sampled taken outcomes
-                    # over the view: a window prefix's strided tally is
-                    # a difference of two entries once its length is
-                    # known.
-                    sampled = (pos + mon_off[sidx][seg_id]) % stride == 0
-                    s_tc = np.zeros(len(gidx) + 1, dtype=np.int64)
-                    np.cumsum(taken[gidx] & sampled, out=s_tc[1:])
-                    s_base = np.zeros(act.size, dtype=np.int64)
-                    s_base[sidx] = base
+                    cross[w[found]] = first[found] + 1
+                    limit[w[cut & ~found]] = p[cut & ~found]
+                    horizon[aw] = np.where(found, h0, 2 * horizon[aw])
+                    self.events_scanned += len(x)
             if evict_sampling and engaged.any():
                 # Eviction by sampling up to the first failing
                 # completion or the landing, whichever comes first:
@@ -759,17 +728,17 @@ class ColumnarBank:
                 e = np.flatnonzero(engaged)
                 er = arows[e]
                 first, self.win_pos[er], self.win_correct[er] = sample_scan(
-                    tc, acur[e], np.minimum(rem[e], m_land[e]), dirs[e],
-                    self.win_pos[er], self.win_correct[er], cfg)
+                    tc, acur[e], reach[e], dirs[e], self.win_pos[er],
+                    self.win_correct[er], cfg)
                 found = first != NEVER
                 cross[e[found]] = first[found] + 1
             # First boundary wins; an arc consuming b events fires
             # during event b-1, a landing at offset m fires before
             # event m — so the arc goes first iff b <= m.
             b_arc = np.minimum(m_fire, cross)
-            arc = (b_arc <= m_land) & (b_arc <= rem)
-            landing = ~arc & (m_land < rem)
-            adv = np.where(arc, b_arc, np.where(landing, m_land, rem))
+            arc = (b_arc <= m_land) & (b_arc <= limit)
+            landing = ~arc & (m_land < limit)
+            adv = np.where(arc, b_arc, np.where(landing, m_land, limit))
             # -- advance: move every pre-boundary prefix ---------------
             ct = tc[acur + adv] - tc[acur]
             self.exec[arows] = exec0 + adv
@@ -782,27 +751,29 @@ class ColumnarBank:
             incorrect_delta += int(fx.sum())
             if mon.any():
                 mrows = arows[mon]
-                if strided:
-                    # Sampled offsets in [o, o + adv): a difference of
-                    # ceilings; the taken tally from the strided view.
-                    o = mon_off[mon]
-                    a = adv[mon]
+                a = adv[mon]
+                if stride > 1:
+                    # The monitor samples the executions whose offset o
+                    # from state entry is a multiple of the stride: a
+                    # difference of ceilings counts them, and their
+                    # batch positions share one residue mod the stride.
+                    o = exec0[mon] - (next_fire[mon] - cfg.monitor_period)
                     self.mon_samples[mrows] += (
                         (o + a + stride - 1) // stride
                         - (o + stride - 1) // stride)
-                    b = s_base[mon]
-                    self.mon_taken[mrows] += s_tc[b + a] - s_tc[b]
+                    if rc is None:
+                        rc = residue_cumsum(taken, stride)
+                    lo = acur[mon]
+                    self.mon_taken[mrows] += residue_count(
+                        rc, stride, lo, lo + a, (lo - o) % stride)
                 else:
                     # Every execution is a sample, including a classify
                     # event.
-                    self.mon_samples[mrows] += adv[mon]
+                    self.mon_samples[mrows] += a
                     self.mon_taken[mrows] += ct[mon]
-            if evict_counter and engaged.any():
-                # Miss-free windows only decay the counter: closed form.
-                simple = engaged & ~need_walk
-                if simple.any():
-                    self.counter[arows[simple]] = np.maximum(
-                        0, counter0[simple] - adv[simple] * dec)
+            if decay is not None and decay.any():
+                self.counter[arows[decay]] = np.maximum(
+                    0, counter0[decay] - adv[decay] * cfg.correct_decrement)
             self.dirty[arows[adv > 0]] = True
             self.events_fast += int(adv.sum())
             # -- fire: batched boundary transitions --------------------
@@ -811,16 +782,39 @@ class ColumnarBank:
                 finstr = instrs[acur + adv - 1]
                 cls = arc & mon
                 if cls.any():
-                    self._fire_classify(arows[cls], fexec[cls],
-                                        finstr[cls], capture, fired)
+                    select, direction = self._fire_classify(
+                        arows[cls], fexec[cls], finstr[cls], capture, fired)
+                    if capture and select.any():
+                        # Watch each SELECTed row from its next event
+                        # on, against the direction it deployed.
+                        c = np.flatnonzero(cls)[select]
+                        sr = arows[c]
+                        d = direction[select]
+                        self.flip_dir[sr] = np.where(d, _WATCH_TAKEN,
+                                                     _WATCH_NOT_TAKEN)
+                        self.flip_onset[sr] = -1
+                        self._watch_flips(sr, d, acur[c] + adv[c],
+                                          seg_end[act[c]], fexec[c] + 1,
+                                          taken, tc)
                 rev = arc & (st == _UNBIASED)
                 if rev.any():
                     self._fire_revisit(arows[rev], fexec[rev],
                                        finstr[rev], capture, fired)
                 evi = arc & (cross != NEVER)
                 if evi.any():
-                    self._fire_evict(arows[evi], fexec[evi],
-                                     finstr[evi], capture, fired)
+                    er = arows[evi]
+                    self._fire_evict(er, fexec[evi], finstr[evi], capture,
+                                     fired)
+                    if capture:
+                        # An EVICT closes the watch, with a sample when
+                        # it saw the flip onset.
+                        onset = self.flip_onset[er]
+                        got = onset >= 0
+                        tte.extend(zip(
+                            self.pc[er[got]].tolist(),
+                            (fexec[evi][got] - onset[got]).tolist()))
+                        self.flip_dir[er] = _WATCH_OFF
+                        self.flip_onset[er] = -1
             lidx = np.flatnonzero(landing)
             if lidx.size:
                 lrows = arows[lidx]
@@ -859,5 +853,4 @@ class ColumnarBank:
             for pc, v in zip(flip_pcs, fin[flips].tolist()):
                 decisions[pc] = v
             changed.extend(flip_pcs)
-        return (correct_delta, incorrect_delta, changed, fired,
-                self._close_flips(fired) if capture else [])
+        return correct_delta, incorrect_delta, changed, fired, tte

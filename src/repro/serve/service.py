@@ -23,11 +23,11 @@ Design points:
   soon as a dequeue frees room, so a bursting producer resumes at the
   rate the shard drains.  ``retry_after`` is for producers that
   cannot await the service.
-* **Adaptive micro-batching.**  Workers coalesce everything queued up
-  to a per-shard target that doubles while the queue stays deep and
-  halves when it runs dry — small batches (low latency) when lightly
-  loaded, large batches (high throughput, denser per-branch runs for
-  the vectorized fast path) under pressure.
+* **Greedy micro-batching.**  Each apply takes everything queued for
+  its shard, up to ``max_batch_events``: a lightly loaded shard applies
+  each batch as it arrives, and a backlog is applied in as few, large
+  batches as the ceiling allows (denser per-branch runs for the
+  columnar engine, whose cost lands at FSM boundaries).
 * **Quiesced snapshots.**  :meth:`snapshot` drains all queues and then
   checkpoints full controller + deployment-queue state; a service
   restored from the file continues bit-identically (see
@@ -81,14 +81,19 @@ class ServiceConfig:
     event loop, so more of them add no parallelism, only a per-shard
     split of every batch.  Multi-core scaling comes from ``workers``
     (one OS process per shard, ``workers == n_shards``).
+
+    Coalescing is greedy: each apply takes every batch queued for its
+    shard, in order, until it holds at least ``max_batch_events`` or
+    the queue is empty (a queued tenant job stops it early, so the job
+    runs between the events before and after it).  The default ceiling
+    equals ``queue_events``, so a full queue drains in one apply.
     """
 
     n_shards: int = 1
     #: Per-shard queue bound, in events.  Overflow → backpressure.
     queue_events: int = 32_768
-    #: Adaptive micro-batch coalescing floor/ceiling, in events.
-    min_batch_events: int = 512
-    max_batch_events: int = 8_192
+    #: Coalescing ceiling, in events (see above).
+    max_batch_events: int = 32_768
     #: Rolling telemetry window, in events.
     telemetry_window: int = 65_536
     #: Retry hint when no drain rate has been observed yet (also the
@@ -177,8 +182,8 @@ class ServiceConfig:
                              "(expected 'pipe' or 'socket')")
         if self.queue_events <= 0:
             raise ValueError("queue_events must be positive")
-        if not 0 < self.min_batch_events <= self.max_batch_events:
-            raise ValueError("need 0 < min_batch_events <= max_batch_events")
+        if self.max_batch_events <= 0:
+            raise ValueError("max_batch_events must be positive")
         if self.telemetry_window <= 0:
             raise ValueError("telemetry_window must be positive")
         if (self.snapshot_interval_events is not None
@@ -334,7 +339,6 @@ class SpeculationService:
         #: here rather than on the queue objects so a caller may swap
         #: the queues before :meth:`start`.
         self._capacity = [asyncio.Event() for _ in range(n)]
-        self._targets = [self.service_config.min_batch_events] * n
         self._last_seq = last_seq
         self._events_submitted = self.bank.events_applied
         self._workers: list[asyncio.Task] = []
@@ -719,8 +723,7 @@ class SpeculationService:
             parts = [part]
             jobs: list[_TenantJob] = []
             events = part.n_events
-            target = self._targets[shard_index]
-            while events < target:
+            while events < scfg.max_batch_events:
                 try:
                     extra = queue.get_nowait()
                 except asyncio.QueueEmpty:
@@ -753,12 +756,11 @@ class SpeculationService:
                 shard.absorb(result)
             else:
                 result = shard.apply(pcs, taken, instrs)
-            depth = self._queued_events[shard_index] - events
-            self._queued_events[shard_index] = depth
+            self._queued_events[shard_index] -= events
             self._capacity[shard_index].set()
             self.telemetry.record_apply(
                 shard_index, events, result.correct, result.incorrect,
-                depth,
+                self._queued_events[shard_index],
                 apply_seconds=result.apply_seconds if scfg.obs else None,
                 col_fast=result.col_fast, col_fallback=result.col_fallback,
                 col_single=result.col_single)
@@ -790,13 +792,6 @@ class SpeculationService:
                                       int(instrs[-1]))
                 if result.transitions:
                     self.trace.extend(result.transitions)
-            # Adapt the coalescing target to the observed queue depth.
-            if depth >= target and target < scfg.max_batch_events:
-                self._targets[shard_index] = min(
-                    scfg.max_batch_events, target * 2)
-            elif depth == 0 and target > scfg.min_batch_events:
-                self._targets[shard_index] = max(
-                    scfg.min_batch_events, target // 2)
             if (scfg.snapshot_interval_events is not None
                     and self.bank.events_applied >= self._next_snapshot_at):
                 self._snap_due.set()

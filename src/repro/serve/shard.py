@@ -112,7 +112,7 @@ class ShardApplyResult:
     col_single: int = 0
     #: ``(pc, time_to_evict)`` per EVICT arc that closed a flip watch:
     #: the branch's executions from its first outcome against the
-    #: trained direction to the EVICT (capture on; see
+    #: direction its SELECT deployed to the EVICT (capture on; see
     #: :meth:`~repro.serve.colpath.ColumnarBank._watch_flips`).
     tte: tuple[tuple[int, int], ...] = ()
 

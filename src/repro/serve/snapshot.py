@@ -58,6 +58,9 @@ logger = logging.getLogger(__name__)
 FORMAT_VERSION = 7
 _COMPATIBLE_FORMATS = (1, 2, 3, 4, 5, 6, 7)
 _KIND = "repro.serve.snapshot"
+#: Stored service knobs that no longer exist, dropped on load: the v5-v7
+#: batch-engine switch and the adaptive coalescing floor.
+_RETIRED_KNOBS = ("columnar", "min_batch_events")
 
 
 def save_snapshot(path: str | Path, service: "SpeculationService",
@@ -193,8 +196,8 @@ def load_snapshot(path: str | Path,
     if service_config is not None:
         scfg = service_config
     else:
-        stored = dict(state["service_config"])
-        stored.pop("columnar", None)    # v5-v7 knob of a retired engine
+        stored = {k: v for k, v in state["service_config"].items()
+                  if k not in _RETIRED_KNOBS}
         scfg = ServiceConfig(**{**stored, "workers": 0, "transport": "pipe",
                                 "wal_dir": None, "repl_listen": None,
                                 "tenant_spill_dir": None})

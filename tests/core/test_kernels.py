@@ -5,7 +5,9 @@ eviction, classify and landing arithmetic from
 :mod:`repro.core.kernels`.  Each kernel is checked here on random
 inputs against :class:`ReactiveBranchController` stepping the same
 executions one at a time, in both forms: one segment (scalars) and
-many segments of one flat buffer (arrays).
+many segments of one flat buffer (arrays).  The counter walk's
+many-segment form (:func:`~repro.core.kernels.miss_walk`) visits
+misses only.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from repro.core.kernels import (
     classify_split,
     deploy_delay,
     floored_walk,
+    miss_walk,
+    residue_count,
+    residue_cumsum,
     sample_scan,
     segments,
 )
@@ -100,27 +105,55 @@ def test_walk_one_segment_matches_controller(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_walk_segments_match_controller(seed):
+    """The many-segment walk, over each window's misses only, equals
+    the controller over every execution of the window."""
     rng = np.random.default_rng(seed)
     cmax, inc = WALK.evict_counter_max, WALK.misspec_increment
     for _ in range(40):
-        lens = rng.choice([1, 2, 7, 25], size=int(rng.integers(1, 12)))
-        hit = _hits(rng, int(lens.sum()))
-        carry = rng.choice([0, cmax - inc, 3], size=len(lens))
-        prefix = rng.integers(0, lens + 1)
-        first, end = floored_walk(hit, carry, WALK, segments(lens), prefix)
-        base = np.cumsum(lens) - lens
-        for r in range(len(lens)):
-            seg = hit[base[r]:base[r] + prefix[r]]
-            assert (first[r], end[r]) == _walk_ref(seg, int(carry[r]), WALK)
+        windows = []
+        for n in rng.choice([1, 2, 7, 25, 90], size=int(rng.integers(1, 12))):
+            hit = _hits(rng, int(n))
+            if not hit.all():
+                windows.append((hit, int(rng.choice([0, cmax - inc, 3]))))
+        if not windows:
+            continue
+        x = [np.flatnonzero(~hit) for hit, _ in windows]
+        first, end = miss_walk(
+            np.concatenate(x), np.array([len(hit) for hit, _ in windows]),
+            np.array([carry for _, carry in windows]), WALK,
+            segments(np.array([len(m) for m in x])))
+        for r, (hit, carry) in enumerate(windows):
+            assert (first[r], end[r]) == _walk_ref(hit, carry, WALK)
 
 
 def test_walk_crossing_past_the_prefix_is_cut_off():
     # Three misses from 0 reach the ceiling (15 >= 12) at offset 2.
     hit = np.array([False, False, False, True])
     assert floored_walk(hit, 0, WALK) == (2, WALK.evict_counter_max)
-    first, end = floored_walk(hit, np.array([0]), WALK,
-                              segments(np.array([4])), np.array([2]))
+    # A window cut after two of them walks to 10 and does not evict.
+    first, end = miss_walk(np.array([0, 1]), np.array([2]), np.array([0]),
+                           WALK, segments(np.array([2])))
     assert (int(first[0]), int(end[0])) == (NEVER, 10)
+
+
+def test_residue_count_matches_strided_slices():
+    """The per-residue prefix sum gives every strided window's sum."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        stride = int(rng.integers(1, 10))
+        values = rng.uniform(size=n) < rng.uniform()
+        rc = residue_cumsum(values, stride)
+        lo = rng.integers(0, n + 1, size=20)
+        hi = np.maximum(lo, rng.integers(0, n + 1, size=20))
+        res = rng.integers(0, stride, size=20)
+        got = residue_count(rc, stride, lo, hi, res)
+        for j in range(20):
+            start = int(lo[j]) + (int(res[j]) - int(lo[j])) % stride
+            want = int(values[start:int(hi[j]):stride].sum())
+            assert int(got[j]) == want
+            assert residue_count(rc, stride, int(lo[j]), int(hi[j]),
+                                 int(res[j])) == want
 
 
 def test_segments_view():

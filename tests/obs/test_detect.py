@@ -102,8 +102,8 @@ class TestFlipTracking:
         assert _apply(shard, [7] * 4, [0, 1, 1, 1]) == ((7, 2),)
 
     def test_onset_in_direction_establishing_batch(self):
-        # The first post-select batch both fixes the trained direction
-        # (by majority) and is scanned for flips against it.
+        # The first post-select batch is scanned for flips against the
+        # direction the SELECT deployed.
         shard = _shard(self.CFG)
         _apply(shard, [2] * 4, _zeros(4))
         # 4..11: five F then three T -> onset 9, EVICT on exec 11.
@@ -119,12 +119,21 @@ class TestFlipTracking:
                      [1, 1, 0, 0, 1, 0, 1, 0])
         assert tte == ((5, 2),)
 
-    def test_evict_without_flip_records_nothing(self):
-        # SELECT and EVICT in one batch: outcomes of the SELECT batch
-        # are not flip-checked, so the EVICT closes a watch that never
-        # saw an onset.
+    def test_select_and_evict_in_one_batch(self):
+        # SELECT @3 trains taken; the rest of its own batch is watched:
+        # onset 4, and the misses at 4, 5, 6 evict on exec 6.
         shard = _shard(self.CFG)
-        assert _apply(shard, [4] * 10, [1] * 4 + [0] * 6) == ()
+        assert _apply(shard, [4] * 10, [1] * 4 + [0] * 6) == ((4, 2),)
+
+    def test_batch_cuts_do_not_move_time_to_evict(self):
+        # The same history, cut anywhere, yields the same sample.
+        outcomes = [1] * 4 + [1, 1, 0, 1, 0, 0, 1]   # onset 6, EVICT @9
+        for cut in range(1, len(outcomes)):
+            shard = _shard(self.CFG)
+            got = (_apply(shard, [6] * cut, outcomes[:cut])
+                   + _apply(shard, [6] * (len(outcomes) - cut),
+                            outcomes[cut:]))
+            assert got == ((6, 3),), cut
 
     def test_sparse_keys_tracked_from_the_start(self):
         # A packed (tenant << 32) | pc key is just another row.
@@ -310,78 +319,57 @@ def test_time_to_evict_exact_after_restore(restore, tmp_path, bench_config):
     assert tte == truth
 
 
-# -- parity with the detector-side flip tracker ----------------------------
+# -- parity with time-to-evict by its definition ---------------------------
 class _ReferenceFlipTracker:
-    """The flip tracker ``MisspecDetector`` ran in the parent process
-    before flip onsets moved into the shard, kept as the parity
-    reference: its general sorted-merge path (its dense path, used
-    while every key stayed small, computed the same values).  It is fed
-    each apply's raw ``(keys, outcomes)`` before the apply's arcs."""
+    """Time-to-evict by its definition, kept as the parity reference.
+    It is fed each apply's raw ``(keys, outcomes)`` before the apply's
+    arcs and keeps every key's whole outcome history, so where batches
+    are cut cannot matter: a SELECT at execution ``e`` trains the
+    direction its monitor window voted (executions ``e - period + 1``
+    to ``e``, ties taken; the stride-1 monitor of ``bench_config``),
+    the first later outcome against it is the flip onset, and the
+    EVICT yields ``exec_index - onset``.  The sample bookkeeping is the
+    detector's (negative samples dropped, the last 1,024 PCs kept)."""
 
-    def __init__(self) -> None:
-        self._pcs = np.empty(0, dtype=np.int64)
-        self._counts = np.empty(0, dtype=np.int64)
-        #: pc -> [trained direction or None, onset exec or None]
+    def __init__(self, monitor_period: int) -> None:
+        self._period = monitor_period
+        self._history: dict[int, list[bool]] = {}
+        #: pc -> [trained direction, first execution to check]
         self._deployed: dict[int, list] = {}
         self.tte: dict[int, int] = {}
         self.count = 0
         self.total = 0
 
-    def _exec_base(self, pc: int) -> int:
-        idx = int(np.searchsorted(self._pcs, pc))
-        if idx < len(self._pcs) and int(self._pcs[idx]) == pc:
-            return int(self._counts[idx])
-        return 0
-
     def observe_batch(self, keys, taken) -> None:
-        keys = np.asarray(keys, dtype=np.int64)
-        taken = np.asarray(taken, dtype=bool)
-        if not len(keys):
-            return
-        if self._deployed:
-            idx = np.flatnonzero(np.isin(keys, list(self._deployed)))
-            sub_keys = keys[idx]
-            order = np.argsort(sub_keys, kind="stable")
-            sub_keys = sub_keys[order]
-            sub_taken = taken[idx[order]]
-            bounds = np.flatnonzero(np.diff(sub_keys)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [len(sub_keys)]))
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                if s == e:
-                    continue
-                pc = int(sub_keys[s])
-                state = self._deployed[pc]
-                outs = sub_taken[s:e]
-                if state[0] is None:
-                    state[0] = bool(np.count_nonzero(outs) * 2 >= len(outs))
-                if state[1] is None:
-                    flipped = outs != state[0]
-                    if flipped.any():
-                        state[1] = (self._exec_base(pc)
-                                    + int(np.argmax(flipped)))
-        uniq, counts = np.unique(keys, return_counts=True)
-        merged = np.union1d(self._pcs, uniq)
-        new_counts = np.zeros(len(merged), dtype=np.int64)
-        new_counts[np.searchsorted(merged, self._pcs)] = self._counts
-        new_counts[np.searchsorted(merged, uniq)] += counts
-        self._pcs = merged
-        self._counts = new_counts
+        history = self._history
+        for pc, t in zip(np.asarray(keys).tolist(),
+                         np.asarray(taken, dtype=bool).tolist()):
+            history.setdefault(pc, []).append(t)
 
     def observe_transitions(self, transitions) -> None:
         for pc, arc, exec_index, _ in transitions:
+            pc = int(pc)
             if arc == SEL:
-                self._deployed[int(pc)] = [None, None]
+                window = self._history[pc][
+                    exec_index - self._period + 1:exec_index + 1]
+                self._deployed[pc] = [2 * sum(window) >= len(window),
+                                      exec_index + 1]
             elif arc == EV:
-                state = self._deployed.pop(int(pc), None)
-                if state is None or state[1] is None:
+                state = self._deployed.pop(pc, None)
+                if state is None:
                     continue
-                tte = int(exec_index) - state[1]
+                trained, first = state
+                history = self._history[pc]
+                onset = next((x for x in range(first, exec_index + 1)
+                              if history[x] != trained), None)
+                if onset is None:
+                    continue
+                tte = int(exec_index) - onset
                 if tte < 0:
                     continue
                 if len(self.tte) >= 1024 and pc not in self.tte:
                     self.tte.pop(next(iter(self.tte)))
-                self.tte[int(pc)] = tte
+                self.tte[pc] = tte
                 self.count += 1
                 self.total += tte
 
@@ -425,12 +413,12 @@ def _random_batches(trace, seed):
 def test_time_to_evict_matches_detector_side_tracker(name, workers,
                                                      bench_config,
                                                      monkeypatch):
-    """On fresh services, the shard-side watch reproduces the old
-    detector-side tracker exactly: same samples, count, mean and
-    ``last`` order, over random batch splits, in-process and over a
-    pipe to worker processes, including a tenant-keyed trace whose
-    tenants spill and restore mid-watch."""
-    ref = _ReferenceFlipTracker()
+    """On fresh services, the shard-side watch reproduces time-to-evict
+    by its definition exactly: same samples, count, mean and ``last``
+    order, over random batch splits coalesced into applies, in-process
+    and over a pipe to worker processes, including a tenant-keyed trace
+    whose tenants spill and restore mid-watch."""
+    ref = _ReferenceFlipTracker(bench_config.monitor_period)
     if workers:
         pool_apply = WorkerPool.apply
 

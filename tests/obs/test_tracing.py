@@ -67,6 +67,37 @@ def test_registry_counters_mirror_arc_counts():
     assert fam.labels(arc="select").value == 0
 
 
+@pytest.mark.parametrize("sample", [1, 3])
+def test_extend_equals_record_per_arc(sample):
+    """A batch ``extend`` leaves the ring, ``seq`` numbering, arc counts
+    and ``repro_fsm_transitions_total`` exactly as per-arc ``record``
+    calls do, including batches longer than the ring."""
+    import random
+
+    rng = random.Random(sample)
+    arcs = [(rng.randrange(64), rng.randrange(len(ARCS)),
+             rng.randrange(10_000), rng.randrange(10**9))
+            for _ in range(3_000)]
+    reg_one, reg_batch = MetricsRegistry(), MetricsRegistry()
+    one = TransitionTrace(capacity=40, sample=sample, registry=reg_one)
+    batch = TransitionTrace(capacity=40, sample=sample, registry=reg_batch)
+    lo = 0
+    while lo < len(arcs):
+        hi = lo + rng.choice([0, 1, 7, 39, 40, 41, 300])
+        for arc in arcs[lo:hi]:
+            one.record(*arc)
+        batch.extend(arcs[lo:hi])
+        lo = hi
+        assert batch.records() == one.records()
+        assert batch.total_recorded == one.total_recorded
+    assert batch.arc_counts() == one.arc_counts()
+    fam_one = reg_one.get("repro_fsm_transitions_total")
+    fam_batch = reg_batch.get("repro_fsm_transitions_total")
+    for name in ARCS:
+        assert (fam_batch.labels(arc=name).value
+                == fam_one.labels(arc=name).value > 0)
+
+
 def test_snapshot_doc_filters_and_roundtrips():
     trace = TransitionTrace(capacity=8)
     trace.record(1, "select", 1, 10)

@@ -283,3 +283,55 @@ def test_controller_accessor_reads_flushed_state():
     for pc in range(64):
         assert (bank.controller(pc).export_state()
                 == spec.controller(pc).export_state())
+
+
+def test_landing_search_with_segments_spanning_the_batch():
+    """The landing search rebases each segment's stamps onto one
+    running offset.  Branches interleaved across the whole batch give
+    every segment an instruction span near the batch's own, with
+    stamps near 2**60 and gaps up to 2**40: the rebased key must stay
+    exact (and in range) while landings fall mid-segment, including on
+    a stamp equal to the landing stamp (gaps and latency are multiples
+    of 2**37)."""
+    from repro.core.config import ControllerConfig
+
+    rng = np.random.default_rng(21)
+    n = 6_000
+    pcs = rng.integers(0, 6, n).astype(np.int32)
+    taken = rng.uniform(size=n) < np.where(pcs < 4, 0.97, 0.5)[pcs]
+    instrs = (1 << 60) + np.cumsum(rng.integers(1, 8, n) << 37)
+    config = ControllerConfig(monitor_period=40, selection_threshold=0.9,
+                              evict_counter_max=60, misspec_increment=20,
+                              correct_decrement=1, revisit_period=90,
+                              optimization_latency=24 << 37)
+    trace = _trace(pcs, taken, instrs)
+    col = assert_three_engine_parity(
+        config, trace, [(0, 1_000), (1_000, 1_001), (1_001, n)])
+    assert col.col.stats()["lands_fast"] > 10
+    whole = BankShard(0, config)
+    whole.apply(pcs, taken, instrs)
+    assert whole.export_state()["bank"] == col.export_state()["bank"]
+
+
+def test_scanned_events_do_not_grow_with_batch_size():
+    """Per event applied, the engine gathers no more events one by one
+    with one whole-trace batch than with 8,192-event batches: the
+    eviction walk visits misses only, landings are a binary search and
+    strided tallies a per-residue prefix sum."""
+    from repro.trace.spec2000 import load_trace
+
+    config = scaled_config()
+    trace = load_trace("gcc", length=400_000)
+    n = len(trace)
+    vec = run_vector(trace, config).metrics
+    scanned = {}
+    for size in (8_192, n):
+        shard = BankShard(0, config)
+        for lo in range(0, n, size):
+            shard.apply(trace.branch_ids[lo:lo + size],
+                        trace.taken[lo:lo + size],
+                        trace.instrs[lo:lo + size])
+        assert ((shard.correct, shard.incorrect)
+                == (vec.correct, vec.incorrect))
+        scanned[size] = shard.col.stats()["events_scanned"] / n
+    assert 0 < scanned[n] <= scanned[8_192]

@@ -297,3 +297,87 @@ def test_no_fallback_on_adversarial_traffic(kind, variant):
     assert arcs == offline
     if kind == "train-then-flip" and variant == "eviction by sampling":
         assert arcs[ARC_CODE["evict"]] == 64
+
+
+# -- strided monitors under every batch size -----------------------------
+
+STRIDED = {
+    "stride 3": ControllerConfig(**_BASE | dict(monitor_sample_stride=3,
+                                               optimization_latency=10)),
+    "stride 8": ControllerConfig(**_BASE | dict(monitor_sample_stride=8,
+                                               optimization_latency=60)),
+    "sampling in monitor": SENSITIVITY_VARIANTS()["sampling in monitor"],
+}
+
+
+def _strided_trace(name: str) -> Trace:
+    if name == "sampling in monitor":
+        return train_then_flip_trace(24, flip_at=1_024,
+                                     length=int(1.5 * 1_024 * 24), seed=5)
+    return _flipping(36_000, 9, seed=len(name), noise=0.1)
+
+
+def _tte_reference(config, trace) -> list[tuple[int, int]]:
+    """Time-to-evict samples by their definition, from the per-event
+    spec: a SELECT trains the direction it deployed, the branch's first
+    later outcome against it is the onset, and its EVICT yields
+    ``exec_index - onset``."""
+    bank = ControllerBank(config)
+    watch: dict[int, list] = {}   # pc -> [trained direction, onset]
+    samples = []
+    for pc, t, instr in zip(trace.branch_ids.tolist(), trace.taken.tolist(),
+                            trace.instrs.tolist()):
+        ctrl = bank.controller(pc)
+        state = watch.get(pc)
+        if state is not None and state[1] is None and t != state[0]:
+            state[1] = ctrl.exec_count
+        seen = len(ctrl.transitions)
+        bank.observe(pc, t, instr)
+        for tr in ctrl.transitions[seen:]:
+            if tr.kind.value == "select":
+                watch[pc] = [ctrl._pending[-1][2], None]
+            elif tr.kind.value == "evict":
+                state = watch.pop(pc)
+                samples.append((pc, tr.exec_index - state[1]))
+    return sorted(samples)
+
+
+@pytest.mark.parametrize("name", list(STRIDED))
+def test_strided_monitor_exact_under_every_batch_size(name):
+    """Strided monitors take their tally from per-residue prefix sums:
+    state, arc stream and time-to-evict samples stay exact from
+    one-event batches to one whole-trace batch.  Large batches start
+    at every residue mod the stride (a short first batch shifts them);
+    7 is coprime to 3 and 8, so 7-event batches cycle through every
+    residue on their own."""
+    config = STRIDED[name]
+    trace = _strided_trace(name)
+    n = len(trace)
+    assert n > 32_768
+    spec, _ = _scalar(config, trace, [(0, n)])
+    want_state = spec.export_state()
+    want_tte = _tte_reference(config, trace)
+    assert want_tte
+    vec = run_vector(trace, config)
+    want_arcs = sorted((b.branch, ARC_CODE[t.kind.value], t.exec_index,
+                        t.instr) for b in vec.branches for t in b.transitions)
+    assert want_arcs
+    splits = [(size, 0) for size in (1, 7)]
+    splits += [(size, r) for size in (8_192, 32_768, n)
+               for r in range(config.monitor_sample_stride)]
+    for size, first in splits:
+        bounds = _splits(n, [first, *range(first + size, n, size)])
+        shard = BankShard(0, config)
+        shard.capture = True
+        arcs, tte = [], []
+        for lo, hi in bounds:
+            res = shard.apply(trace.branch_ids[lo:hi], trace.taken[lo:hi],
+                              trace.instrs[lo:hi])
+            arcs.extend(res.transitions)
+            tte.extend(res.tte)
+        where = f"{name}: {size}-event batches after {first}"
+        assert shard.export_state()["bank"] == want_state, where
+        assert sorted(arcs) == want_arcs, where
+        assert sorted(tte) == want_tte, where
+        assert ((shard.correct, shard.incorrect)
+                == (vec.metrics.correct, vec.metrics.incorrect)), where

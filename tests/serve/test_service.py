@@ -13,14 +13,15 @@ from repro.serve.service import (
     SequenceError,
     ServiceConfig,
     SpeculationService,
+    _TenantJob,
 )
+from repro.serve.shard import BankShard
 from repro.sim.runner import run_reactive
 
 
 def test_service_config_validation():
     for bad in (dict(n_shards=0), dict(queue_events=0),
-                dict(min_batch_events=0),
-                dict(min_batch_events=100, max_batch_events=50),
+                dict(max_batch_events=0),
                 dict(telemetry_window=0),
                 dict(snapshot_interval_events=0, snapshot_dir="/tmp/x"),
                 dict(snapshot_interval_events=100)):
@@ -41,6 +42,72 @@ def test_service_matches_offline_engine(bench_trace, bench_config, n_shards):
 
     metrics = asyncio.run(run())
     assert metrics == run_reactive(bench_trace, bench_config).metrics
+
+
+def _spy_applies(monkeypatch, log):
+    """Record each in-process apply's size (and each restore job) in
+    ``log``, in the order the shard task runs them."""
+    apply, restore = BankShard.apply, BankShard.restore_tenant
+
+    def spy_apply(self, pcs, taken, instrs):
+        log.append(len(pcs))
+        return apply(self, pcs, taken, instrs)
+
+    def spy_restore(self, states):
+        log.append("job")
+        return restore(self, states)
+
+    monkeypatch.setattr(BankShard, "apply", spy_apply)
+    monkeypatch.setattr(BankShard, "restore_tenant", spy_restore)
+
+
+@pytest.mark.parametrize("max_batch_events", [4_096, 20_480, 32_768])
+def test_first_apply_takes_the_queued_backlog(bench_trace, bench_config,
+                                              monkeypatch,
+                                              max_batch_events):
+    """With K batches queued before the shard task first runs, its
+    first apply covers min(total, max_batch_events) events, and the
+    backlog drains in ceiling-sized applies."""
+    applies: list[int] = []
+    _spy_applies(monkeypatch, applies)
+    batches = list(iter_trace_batches(bench_trace, 1024))[:20]
+    total = sum(b.n_events for b in batches)
+
+    async def run():
+        service = SpeculationService(
+            bench_config, ServiceConfig(max_batch_events=max_batch_events))
+        for batch in batches:
+            service.submit_nowait(batch)
+        async with service:
+            await service.drain()
+
+    asyncio.run(run())
+    assert applies[0] == min(total, max_batch_events)
+    assert sum(applies) == total
+    assert len(applies) == -(-total // max_batch_events)
+
+
+def test_queued_tenant_job_fences_coalescing(bench_trace, bench_config,
+                                             monkeypatch):
+    """A control job queued between batches splits the backlog: the
+    apply before it stops at the job, which runs before anything
+    queued behind it."""
+    log: list = []
+    _spy_applies(monkeypatch, log)
+    batches = list(iter_trace_batches(bench_trace, 1024))[:6]
+
+    async def run():
+        service = SpeculationService(bench_config, ServiceConfig())
+        for batch in batches[:2]:
+            service.submit_nowait(batch)
+        service._queues[0].put_nowait(_TenantJob("restore", states=[]))
+        for batch in batches[2:]:
+            service.submit_nowait(batch)
+        async with service:
+            await service.drain()
+
+    asyncio.run(run())
+    assert log == [2048, "job", 4096]
 
 
 def test_backpressure_rejects_then_drains(bench_trace, bench_config):

@@ -202,6 +202,8 @@ def test_version1_snapshot_still_loads(bench_trace, bench_config):
     assert service.service_config.transport == "pipe"
     assert service.service_config.wal_dir is None
     assert service.service_config.wal_fsync == "batch"
+    # The retired coalescing floor is dropped; the stored ceiling stays.
+    assert service.service_config.max_batch_events == 8192
 
     async def finish():
         async with service:
@@ -238,6 +240,8 @@ def test_version6_snapshot_loads_as_tenant_zero(bench_trace,
     assert service.service_config.tenant_resident_bytes is None
     assert service.service_config.tenant_spill_dir is None
     assert service.tenant_stats() is None  # no tenant state materialized
+    # The retired coalescing floor is dropped; the stored ceiling stays.
+    assert service.service_config.max_batch_events == 8192
     # Every pre-tenant controller key IS a tenant-0 packed key.
     state = service.bank.export_state()
     for shard in state["shards"]:
